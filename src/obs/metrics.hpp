@@ -95,6 +95,11 @@ class Histogram {
     return counts_[i].load(std::memory_order_relaxed);
   }
   const std::vector<double>& bounds() const { return bounds_; }
+  /// Estimate of the q-quantile from the cumulative bucket counts: the
+  /// inclusive upper edge of the first bucket reaching q * count() (rounded
+  /// to the nearest sample). Overflow samples report the last finite edge,
+  /// a lower bound. 0.0 when empty.
+  double quantile(double q) const;
   void reset();
 
  private:

@@ -1,12 +1,12 @@
 #include "runtime/thread_pool.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "obs/scoped_timer.hpp"
 
 namespace cnd::runtime {
 
@@ -70,8 +70,7 @@ void ThreadPool::work_on(Job& job, std::size_t lane) {
   // back into chunk assignment or arithmetic, so the determinism contract is
   // untouched. The clock is only read when observability is on.
   const bool timed = obs::enabled();
-  const auto t0 = timed ? std::chrono::steady_clock::now()  // cnd-lint: allow(no-clock) cnd-det-ok(obs-gated lane telemetry — never feeds chunk assignment or results)
-                        : std::chrono::steady_clock::time_point{};
+  const obs::Stopwatch watch(timed);
   std::size_t executed = 0;
 
   RegionGuard region;
@@ -90,13 +89,10 @@ void ThreadPool::work_on(Job& job, std::size_t lane) {
 
   if (executed > 0)
     obs::metrics().counter("runtime.tasks_total").add(executed);
-  if (timed) {
-    const double busy_ms = std::chrono::duration<double, std::milli>(
-                               // cnd-lint: allow(no-clock) cnd-det-ok(obs-gated lane telemetry — never feeds chunk assignment or results)
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    obs::metrics().gauge("runtime.lane_busy_ms." + std::to_string(lane)).add(busy_ms);
-  }
+  if (timed)
+    obs::metrics()
+        .gauge("runtime.lane_busy_ms." + std::to_string(lane))
+        .add(watch.elapsed_ms());
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "linalg/distance.hpp"
-#include "ml/incremental_pca.hpp"
 #include "ml/pca.hpp"
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
@@ -326,26 +325,6 @@ TEST(ZeroAlloc, PcaScoreIntoSteadyState) {
   const std::size_t before = g_news.load();
   for (int i = 0; i < 10; ++i) pca.score_into(x, scores, ws);
   EXPECT_EQ(g_news.load() - before, 0u);
-}
-
-TEST(ZeroAlloc, IncrementalPcaPartialFitSteadyState) {
-  ThreadsGuard guard(1);
-  Rng rng(17);
-  ml::IncrementalPca ipca;
-  const Matrix batch = random_matrix(32, 10, rng);
-  for (int i = 0; i < 2; ++i) ipca.partial_fit(batch);
-  const std::size_t before = g_news.load();
-  for (int i = 0; i < 10; ++i) ipca.partial_fit(batch);
-  EXPECT_EQ(g_news.load() - before, 0u);
-
-  ipca.refresh();
-  Workspace ws;
-  std::vector<double> scores;
-  for (int i = 0; i < 2; ++i) ipca.score_into(batch, scores, ws);
-  EXPECT_EQ(scores, ipca.score(batch));
-  const std::size_t before_score = g_news.load();
-  for (int i = 0; i < 10; ++i) ipca.score_into(batch, scores, ws);
-  EXPECT_EQ(g_news.load() - before_score, 0u);
 }
 
 TEST(ZeroAlloc, WorkspaceSlotsReuseAllocations) {

@@ -113,6 +113,21 @@ TEST(Metrics, HistogramBucketEdgesAreInclusiveUpperBounds) {
   EXPECT_NEAR(h.sum(), 0.5 + 1.0 + 1.0001 + 10.0 + 99.0 + 100.5, 1e-9);
 }
 
+TEST(Metrics, HistogramQuantileReportsInclusiveBucketEdges) {
+  obs::Histogram h({1.0, 10.0, 100.0});
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // empty
+  for (double v : {0.5, 1.0, 5.0, 50.0, 200.0}) h.record(v);
+  // target = round(q * 5); the answer is the first edge whose cumulative
+  // count reaches it.
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.3), 1.0);    // target 2: bucket 0 holds 2
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 10.0);   // target 3 (2.5 rounds up)
+  EXPECT_DOUBLE_EQ(h.quantile(0.8), 100.0);  // target 4
+  // The overflow sample reports the last finite edge, a lower bound.
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 100.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
+}
+
 TEST(Metrics, HistogramRejectsBadBounds) {
   EXPECT_THROW(obs::Histogram({}), std::invalid_argument);
   EXPECT_THROW(obs::Histogram({1.0, 1.0}), std::invalid_argument);

@@ -4,6 +4,8 @@
 
 #include <bit>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -84,6 +86,28 @@ TEST(FlowRecord, RejectsGarbageAndTruncation) {
     std::fclose(fp);
   }
   EXPECT_THROW(serve::FlowRecordFile{path}, std::invalid_argument);
+
+  // Headers whose row count the payload cannot hold. dim=40, count=2^59 is
+  // a 20-byte file whose count * dim * sizeof(float) wraps to exactly 0.
+  const auto write_raw = [&](std::uint32_t dim, std::uint64_t count,
+                             std::size_t payload_floats) {
+    std::FILE* fp = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(fp, nullptr);
+    const std::uint32_t magic = serve::kFlowMagic, version = serve::kFlowVersion;
+    std::fwrite(&magic, 4, 1, fp);
+    std::fwrite(&version, 4, 1, fp);
+    std::fwrite(&dim, 4, 1, fp);
+    std::fwrite(&count, 8, 1, fp);
+    const std::vector<float> payload(payload_floats, 1.0f);
+    std::fwrite(payload.data(), sizeof(float), payload.size(), fp);
+    std::fclose(fp);
+  };
+  write_raw(40, std::uint64_t{1} << 59, 0);
+  EXPECT_THROW(serve::FlowRecordFile{path}, std::invalid_argument);
+  write_raw(3, 4, 3 * 3);  // one row past the payload
+  EXPECT_THROW(serve::FlowRecordFile{path}, std::invalid_argument);
+  write_raw(3, 3, 3 * 3);  // exactly the payload: accepted
+  EXPECT_EQ(serve::FlowRecordFile{path}.rows(), 3u);
   std::remove(path.c_str());
   EXPECT_THROW(serve::FlowRecordFile{"no_such_file.bin"}, std::runtime_error);
 }
@@ -252,6 +276,23 @@ TEST(Snapshot, ArtifactFileRoundTrip) {
   const Matrix x_test = gaussian(rng, 32, 6, 1.0);
   expect_bits_equal(det->score(x_test),
                     serve::restore_replica(loaded, tiny_cfg())->score(x_test));
+
+  // A missing file and every truncation of a real one are refused.
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  std::remove(path.c_str());
+  EXPECT_THROW(serve::load_artifact(path), std::runtime_error);
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{10}, bytes.size() / 2,
+                                bytes.size() - 1}) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(bytes.data(), static_cast<std::streamsize>(cut));
+    }
+    EXPECT_THROW(serve::load_artifact(path), std::runtime_error) << "cut " << cut;
+  }
   std::remove(path.c_str());
 }
 

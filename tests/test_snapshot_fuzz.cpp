@@ -3,8 +3,12 @@
 // cleanly from restore() — and must not half-mutate the detector. The
 // checksummed envelope (io::binary v2) is what makes the bit-flip sweep
 // airtight: the payload is buffered and verified before any member moves.
+// The io::binary primitives the envelope is built from are round-tripped
+// here too.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -67,6 +71,43 @@ void expect_restore_throws(const std::string& name, const std::string& bytes) {
   auto replica = core::make_detector(name, tiny_cfg());
   std::istringstream is(bytes, std::ios::binary);
   EXPECT_THROW(replica->restore(is), std::exception) << name;
+}
+
+// ---- io::binary primitives --------------------------------------------------
+
+TEST(BinaryIo, PrimitiveRoundTrip) {
+  const std::string path = "test_bin_prim.bin";
+  {
+    std::ofstream f(path, std::ios::binary);
+    io::write_header(f);
+    io::write_u64(f, 12345);
+    io::write_f64(f, 3.14159);
+    io::write_string(f, "hello artifact");
+    io::write_vec(f, {1.0, 2.5, -3.0});
+    io::write_matrix(f, Matrix{{1, 2}, {3, 4}});
+  }
+  std::ifstream f(path, std::ios::binary);
+  io::read_header(f);
+  EXPECT_EQ(io::read_u64(f), 12345u);
+  EXPECT_DOUBLE_EQ(io::read_f64(f), 3.14159);
+  EXPECT_EQ(io::read_string(f), "hello artifact");
+  EXPECT_EQ(io::read_vec(f), (std::vector<double>{1.0, 2.5, -3.0}));
+  Matrix m = io::read_matrix(f);
+  EXPECT_EQ(m(1, 1), 4.0);
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIo, RejectsWrongMagic) {
+  const std::string path = "test_bin_bad.bin";
+  {
+    std::ofstream f(path, std::ios::binary);
+    const std::uint32_t junk = 0xDEADBEEF;
+    f.write(reinterpret_cast<const char*>(&junk), sizeof(junk));
+    f.write(reinterpret_cast<const char*>(&junk), sizeof(junk));
+  }
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_THROW(io::read_header(f), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotFuzz, Fnv1a64MatchesReferenceVectors) {

@@ -1,9 +1,11 @@
-// Unit tests for Best-F and quantile thresholding.
+// Unit tests for Best-F, quantile, and robust (MAD / POT) thresholding.
 #include "eval/threshold.hpp"
 
 #include <gtest/gtest.h>
 
 #include "eval/metrics.hpp"
+#include "eval/robust_threshold.hpp"
+#include "tensor/rng.hpp"
 
 namespace cnd::eval {
 namespace {
@@ -69,6 +71,53 @@ TEST(ApplyThreshold, StrictInequality) {
   const std::vector<double> s{1.0, 2.0, 3.0};
   const auto p = apply_threshold(s, 2.0);
   EXPECT_EQ(p, (std::vector<int>{0, 0, 1}));
+}
+
+// ---- robust label-free thresholds (MAD, POT) -------------------------------
+
+TEST(MadThreshold, RobustToOutliers) {
+  // 100 scores at ~1.0 plus a wild outlier: the MAD threshold must stay
+  // near the bulk (a stddev-based rule would be dragged up).
+  std::vector<double> cal(100, 1.0);
+  for (std::size_t i = 0; i < cal.size(); ++i)
+    cal[i] += 0.01 * static_cast<double>(i % 10);
+  cal.push_back(1e6);
+  const double t = mad_threshold(cal, 3.0);
+  EXPECT_LT(t, 2.0);
+  EXPECT_GT(t, 1.0);
+}
+
+TEST(MadThreshold, ScalesWithK) {
+  std::vector<double> cal{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_LT(mad_threshold(cal, 1.0), mad_threshold(cal, 5.0));
+  EXPECT_THROW(mad_threshold({}, 3.0), std::invalid_argument);
+}
+
+TEST(PotThreshold, CalibratesTailProbability) {
+  // Exponential(1) scores: P(X > t) = exp(-t), so the 1e-3 threshold should
+  // land near -ln(1e-3) ~ 6.9.
+  Rng rng(1);
+  std::vector<double> cal(20000);
+  for (double& v : cal) v = rng.exponential(1.0);
+  const double t = pot_threshold(cal, {.tail_quantile = 0.95, .target_prob = 1e-3});
+  EXPECT_NEAR(t, 6.9, 1.0);
+}
+
+TEST(PotThreshold, AboveTailQuantile) {
+  Rng rng(2);
+  std::vector<double> cal(500);
+  for (double& v : cal) v = rng.normal();
+  const double t = pot_threshold(cal, {.tail_quantile = 0.9, .target_prob = 1e-3});
+  std::size_t above = 0;
+  for (double v : cal) above += (v > t);
+  EXPECT_LT(static_cast<double>(above) / 500.0, 0.05);
+}
+
+TEST(PotThreshold, RejectsBadConfig) {
+  std::vector<double> cal(30, 1.0);
+  EXPECT_THROW(pot_threshold(cal, {.tail_quantile = 0.9, .target_prob = 0.5}),
+               std::invalid_argument);
+  EXPECT_THROW(pot_threshold(std::vector<double>(5, 1.0), {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,12 +1,34 @@
 #include "data/csv.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "tensor/assert.hpp"
 
 namespace cnd::data {
+
+namespace {
+
+/// One numeric cell: the whole cell must parse as a number (blanks around
+/// it aside) and be finite. Errors name the file, line and column.
+double parse_cell(const std::string& cell, const std::string& path,
+                  std::size_t line_no, std::size_t col) {
+  const char* begin = cell.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  while (*end == ' ' || *end == '\t' || *end == '\r') ++end;
+  const std::string where = "load_csv: " + path + ":" +
+                            std::to_string(line_no) + ":" +
+                            std::to_string(col) + ": ";
+  require(end != begin && *end == '\0', where + "not a number '" + cell + "'");
+  require(std::isfinite(v), where + "non-finite value '" + cell + "'");
+  return v;
+}
+
+}  // namespace
 
 void save_csv(const Dataset& ds, const std::string& path) {
   ds.validate();
@@ -38,14 +60,16 @@ Dataset load_csv(const std::string& path, const std::string& name) {
   ds.name = name;
   int max_class = -1;
   std::vector<double> row(n_cols);
+  std::size_t line_no = 1;
   while (std::getline(f, line)) {
+    ++line_no;
     if (line.empty()) continue;
     std::stringstream ss(line);
     std::string cell;
     for (std::size_t j = 0; j < n_cols; ++j) {
       require(static_cast<bool>(std::getline(ss, cell, ',')),
               "load_csv: short row in " + path);
-      row[j] = std::stod(cell);
+      row[j] = parse_cell(cell, path, line_no, j + 1);
     }
     Matrix one(1, d);
     for (std::size_t j = 0; j < d; ++j) one(0, j) = row[j];

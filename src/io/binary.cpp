@@ -14,6 +14,26 @@ void check_stream(const std::ios& s, const char* what) {
   if (!s.good()) throw std::runtime_error(std::string("cnd::io: ") + what);
 }
 
+/// The one length check: a length-prefixed read of `count` elements of
+/// `elem_bytes` each must fit in the bytes left in the stream, checked
+/// before anything is allocated, so a hostile header cannot make a reader
+/// allocate more than the artifact actually holds.
+void check_length(std::istream& is, std::uint64_t count,
+                  std::uint64_t elem_bytes, const char* what) {
+  const std::istream::pos_type here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  check_stream(is, "stream is not seekable");
+  const auto left = static_cast<std::uint64_t>(end - here);
+  if (elem_bytes != 0 && count > left / elem_bytes)
+    throw std::runtime_error(std::string("cnd::io: ") + what + " of " +
+                             std::to_string(count) + " x " +
+                             std::to_string(elem_bytes) +
+                             " bytes exceeds the " + std::to_string(left) +
+                             " bytes left in the stream");
+}
+
 }  // namespace
 
 void write_header(std::ostream& os) {
@@ -66,7 +86,7 @@ void write_string(std::ostream& os, const std::string& s) {
 
 std::string read_string(std::istream& is) {
   const std::uint64_t n = read_u64(is);
-  if (n > (1u << 20)) throw std::runtime_error("cnd::io: implausible string size");
+  check_length(is, n, 1, "string");
   std::string s(n, '\0');
   is.read(s.data(), static_cast<std::streamsize>(n));
   check_stream(is, "string read failed");
@@ -82,7 +102,7 @@ void write_vec(std::ostream& os, const std::vector<double>& v) {
 
 std::vector<double> read_vec(std::istream& is) {
   const std::uint64_t n = read_u64(is);
-  if (n > (1u << 28)) throw std::runtime_error("cnd::io: implausible vector size");
+  check_length(is, n, sizeof(double), "vector");
   std::vector<double> v(n);
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(n * sizeof(double)));
@@ -101,8 +121,8 @@ void write_matrix(std::ostream& os, const Matrix& m) {
 Matrix read_matrix(std::istream& is) {
   const std::uint64_t rows = read_u64(is);
   const std::uint64_t cols = read_u64(is);
-  if (rows * cols > (1u << 28))
-    throw std::runtime_error("cnd::io: implausible matrix size");
+  check_length(is, cols, sizeof(double), "matrix row");
+  check_length(is, rows, cols * sizeof(double), "matrix");
   Matrix m(rows, cols);
   is.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(m.size() * sizeof(double)));
@@ -138,9 +158,7 @@ std::string read_envelope(std::istream& is, std::uint64_t expected_tag,
                              ": stream carries another detector's snapshot "
                              "(tag " + std::to_string(tag) + ")");
   const std::uint64_t n = read_u64(is);
-  if (n > (1ull << 30))
-    throw std::runtime_error(std::string("cnd::io: ") + what +
-                             ": implausible snapshot payload size");
+  check_length(is, n, 1, (std::string(what) + ": snapshot payload").c_str());
   std::string payload(static_cast<std::size_t>(n), '\0');
   is.read(payload.data(), static_cast<std::streamsize>(n));
   check_stream(is, "envelope payload read failed");

@@ -1,6 +1,8 @@
 #include "serve/service.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "eval/robust_threshold.hpp"
 #include "obs/event_log.hpp"
@@ -70,6 +72,16 @@ bool ScoringService::try_submit(const Matrix& batch) {
   require(batch.rows() > 0, "ScoringService::try_submit: empty batch");
   require(batch.cols() == n_clean_.cols(),
           "ScoringService::try_submit: batch width differs from the clean window");
+  // A non-finite feature must never be scored: ReLU maps NaN to 0, which
+  // collapses the latent to a benign-looking score.
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    if (!std::isfinite(batch.data()[i])) {
+      obs::metrics().counter("serve.rejected_nonfinite_total").add(1);
+      throw std::invalid_argument(
+          "ScoringService::try_submit: non-finite value at row " +
+          std::to_string(i / batch.cols()) + ", column " +
+          std::to_string(i % batch.cols()));
+    }
 
   results_.push_back(BatchResult{});
   BatchResult& slot = results_.back();

@@ -92,9 +92,12 @@ class ScoringService {
   void bootstrap(const Matrix& n_clean);
 
   /// Admit one batch for scoring. Returns false (and counts the rejection)
-  /// when the queue is full — backpressure, never blocking. May run a
-  /// synchronous adaptation round after admission (see
-  /// ServiceConfig::adapt_interval_flows). Only one thread may submit.
+  /// when the queue is full — backpressure, never blocking. Throws
+  /// std::invalid_argument, admitting nothing, on an empty batch, a width
+  /// mismatch, or a NaN/infinite value (the last counted in
+  /// serve.rejected_nonfinite_total). May run a synchronous adaptation
+  /// round after admission (see ServiceConfig::adapt_interval_flows). Only
+  /// one thread may submit.
   bool try_submit(const Matrix& batch);
 
   /// Block until every admitted batch has been scored.

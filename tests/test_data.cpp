@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <set>
 
 #include "data/csv.hpp"
@@ -161,6 +162,30 @@ TEST(Csv, RoundTrip) {
 
 TEST(Csv, LoadRejectsMissingFile) {
   EXPECT_THROW(load_csv("/tmp/does_not_exist_cnd.csv"), std::invalid_argument);
+}
+
+TEST(Csv, LoadRejectsNonFiniteAndMalformedCellsWithTheirPosition) {
+  const std::string path = "cnd_test_bad_cell.csv";
+  for (const char* cell : {"nan", "inf", "-inf", "1e999", "1.5abc", ""}) {
+    {
+      std::ofstream f(path);
+      f << "f0,f1,label,attack_class\n1,2,0,-1\n3," << cell << ",1,0\n";
+    }
+    try {
+      load_csv(path);
+      ADD_FAILURE() << "accepted cell '" << cell << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":3:2:"), std::string::npos)
+          << e.what();
+    }
+  }
+  {  // Blanks around a number and CRLF line ends still load.
+    std::ofstream f(path);
+    f << "f0,f1,label,attack_class\r\n1, 2 ,0,-1\r\n";
+  }
+  const Dataset ds = load_csv(path);
+  EXPECT_EQ(ds.x(0, 1), 2.0);
+  std::remove(path.c_str());
 }
 
 TEST(Experiences, ProtocolStructure) {

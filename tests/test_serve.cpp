@@ -6,10 +6,12 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <thread>
 
 #include "core/detector_factory.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/artifact.hpp"
 #include "serve/flow_record.hpp"
@@ -296,6 +298,25 @@ TEST(Snapshot, ArtifactFileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(Snapshot, ArtifactFileRoundTripsAWideModel) {
+  // 1,122,464 model bytes: what `cnd snapshot` writes for a 240-feature CSV.
+  serve::ServingArtifact a;
+  a.version = 2;
+  a.detector = "CND-IDS";
+  a.threshold = 210.8;
+  a.model_bytes.resize(1122464);
+  for (std::size_t i = 0; i < a.model_bytes.size(); ++i)
+    a.model_bytes[i] = static_cast<char>(i * 131 % 251);
+  const std::string path = "test_artifact_wide.bin";
+  serve::save_artifact(path, a);
+  const serve::ServingArtifact loaded = serve::load_artifact(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.version, 2u);
+  EXPECT_EQ(loaded.detector, "CND-IDS");
+  EXPECT_EQ(loaded.threshold, 210.8);
+  EXPECT_EQ(loaded.model_bytes, a.model_bytes);
+}
+
 // ---- ScoringService ---------------------------------------------------------
 
 serve::ServiceConfig tiny_service(std::size_t shards, std::size_t adapt_every = 0) {
@@ -312,6 +333,33 @@ serve::ServiceConfig tiny_service(std::size_t shards, std::size_t adapt_every = 
 TEST(ScoringService, SubmitBeforeBootstrapThrows) {
   serve::ScoringService svc(tiny_service(1));
   EXPECT_THROW(svc.try_submit(Matrix(4, 6, 0.0)), std::logic_error);
+}
+
+TEST(ScoringService, RefusesNonFiniteBatchAndCountsIt) {
+  Rng rng(12);
+  serve::ScoringService svc(tiny_service(1));
+  svc.bootstrap(gaussian(rng, 96, 6));
+  obs::Counter& refused =
+      obs::metrics().counter("serve.rejected_nonfinite_total");
+  const std::uint64_t before = refused.value();
+
+  // Attack rows far from the clean window are flagged while finite. One
+  // NaN feature used to collapse the encoder's ReLU latent and score the
+  // row as normal; a non-finite value is now refused at admission.
+  const Matrix attack = gaussian(rng, 10, 6, 40.0);
+  ASSERT_TRUE(svc.try_submit(attack));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Matrix evasive = attack;
+    evasive(3, 2) = bad;
+    EXPECT_THROW(svc.try_submit(evasive), std::invalid_argument);
+  }
+  EXPECT_EQ(refused.value() - before, 3u);
+  svc.drain();
+  ASSERT_EQ(svc.results().size(), 1u);  // a refusal leaves no slot behind
+  for (const int v : svc.results()[0].verdicts) EXPECT_EQ(v, 1);
+  svc.shutdown();
 }
 
 TEST(ScoringService, RejectsNonSnapshotDetector) {

@@ -7,7 +7,10 @@
 // here too.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -17,6 +20,32 @@
 #include "core/detector_factory.hpp"
 #include "io/binary.hpp"
 #include "tensor/rng.hpp"
+
+// Allocation probe: the largest single operator new request since the last
+// reset. Requests over 256 MiB fail with bad_alloc instead of committing
+// memory, so a reader that trusts a hostile length prefix throws the wrong
+// error rather than taking the machine's memory. Every form below allocates
+// with malloc, so GCC's new/free mismatch warning is a false positive here.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+namespace {
+std::atomic<std::size_t> g_largest_new{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  std::size_t seen = g_largest_new.load(std::memory_order_relaxed);
+  while (n > seen && !g_largest_new.compare_exchange_weak(
+                         seen, n, std::memory_order_relaxed)) {
+  }
+  if (n > (std::size_t{1} << 28)) throw std::bad_alloc();
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace cnd {
 namespace {
@@ -95,6 +124,50 @@ TEST(BinaryIo, PrimitiveRoundTrip) {
   Matrix m = io::read_matrix(f);
   EXPECT_EQ(m(1, 1), 4.0);
   std::remove(path.c_str());
+}
+
+/// Read `bytes` with `read` and expect the one length check's refusal,
+/// without any allocation near the claimed size.
+template <typename Read>
+void expect_refused_before_alloc(const std::string& bytes, Read read) {
+  std::istringstream is(bytes, std::ios::binary);
+  g_largest_new.store(0);
+  try {
+    read(is);
+    ADD_FAILURE() << "hostile length accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bytes left in the stream"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(g_largest_new.load(), std::size_t{1} << 20);
+}
+
+TEST(BinaryIo, HostileLengthIsRefusedBeforeAllocating) {
+  // A short envelope claiming a 512 MiB payload.
+  std::ostringstream env(std::ios::binary);
+  io::write_header(env);
+  io::write_u64(env, 7);
+  io::write_u64(env, std::uint64_t{1} << 29);
+  env << "short";
+  expect_refused_before_alloc(env.str(), [](std::istream& is) {
+    io::read_envelope(is, 7, "Probe");
+  });
+
+  // Every length-prefixed primitive: string, vector, matrix.
+  auto prefixed = [](std::initializer_list<std::uint64_t> lengths) {
+    std::ostringstream os(std::ios::binary);
+    for (const std::uint64_t n : lengths) io::write_u64(os, n);
+    os << "tail";
+    return os.str();
+  };
+  expect_refused_before_alloc(prefixed({std::uint64_t{1} << 40}),
+                              [](std::istream& is) { io::read_string(is); });
+  expect_refused_before_alloc(prefixed({std::uint64_t{1} << 27}),
+                              [](std::istream& is) { io::read_vec(is); });
+  expect_refused_before_alloc(
+      prefixed({std::uint64_t{1} << 20, std::uint64_t{1} << 20}),
+      [](std::istream& is) { io::read_matrix(is); });
 }
 
 TEST(BinaryIo, RejectsWrongMagic) {

@@ -1,7 +1,7 @@
-// cnd-lint self-test corpus: the documented seed plumbing may own a raw
-// engine — this path is the one exemption for no-raw-rng and
-// no-std-distribution.
-// cnd-lint-path: src/tensor/rng.hpp
+// The documented seed plumbing may own a raw engine and std distributions:
+// this path is the one exemption for rng-confinement (which folds the
+// no-raw-rng and no-std-distribution rules).
+// cnd-analyze-path: src/tensor/rng.hpp
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,4 @@
-// cnd-lint self-test corpus (known-good).
-// cnd-lint-path: src/serve/stable_id_hash.cpp
+// cnd-analyze-path: src/serve/stable_id_hash.cpp
 #include <cstddef>
 #include <cstdint>
 #include <functional>

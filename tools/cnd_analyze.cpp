@@ -1,24 +1,42 @@
-// cnd_analyze — whole-program contract analyzer for the cnd tree.
+// cnd_analyze — the static analyzer for the cnd tree's determinism, layering
+// and lock contracts (docs/STATIC_ANALYSIS.md).
 //
-// cnd_lint.py checks what a single line looks like; this tool checks what a
-// call chain can *reach*. It tokenizes every first-party translation unit
-// named in compile_commands.json (plus headers), extracts function
-// definitions with qualified names using a pragmatic C++ heuristic parser
-// (no libclang), links call sites to definitions by qualified-suffix name
-// matching, and runs three reachability checks on the resulting approximate
-// call graph:
+// It tokenizes every first-party file (the TUs in compile_commands.json plus
+// every .cpp/.hpp/.h/.cc under src, bench, tests, tools and examples) and
+// runs two kinds of rules. The textual rules check what a file's tokens and
+// directives look like, wherever they sit:
+//
+//   no-clock             clock reads outside src/obs.
+//   no-unordered-iter    range-for over an unordered container.
+//   no-pointer-hash      std::hash over a pointer type.
+//   no-float             float (the type or an f-suffixed literal) in
+//                        src/{tensor,linalg,nn,runtime}.
+//   no-banned-fn         sprintf/strcpy/atoi-family C calls.
+//   no-naked-mutex       std lock primitives or their headers outside the
+//                        annotated wrappers (runtime/annotated_mutex.hpp).
+//   include-hygiene      "../" and <bits/...> includes; first-party headers
+//                        in <>.
+//   layering             #include edges that climb the layer DAG.
+//   rng-confinement      std distributions, raw engine types, raw engine
+//                        draws and std::rand/srand outside
+//                        src/tensor/rng.{hpp,cpp} (DESIGN.md §4).
+//   registry-coverage    tools/check_determinism.sh must name every
+//                        registered detector and --dump-kernels case.
+//
+// The reachability rules check what a call chain can *reach*: function
+// definitions in src/ are extracted with qualified names by a pragmatic C++
+// heuristic parser (no libclang), call sites are linked to definitions by
+// qualified-suffix name matching, and these checks run on the resulting
+// approximate call graph:
 //
 //   hot-path-alloc       functions annotated `// cnd-hot` must not
 //                        transitively reach heap allocation (operator new,
 //                        make_unique/make_shared, malloc family, growing
 //                        container calls) except through functions annotated
 //                        `// cnd-alloc-ok(<reason>)`.
-//   layering-transitive  the layer DAG from cnd_lint's include rule,
-//                        re-checked edge-by-edge on the call graph, so a
-//                        legal include cannot smuggle an illegal call.
-//   rng-confinement      std distributions, raw engine types, and raw
-//                        engine draws are errors outside src/tensor/rng.cpp
-//                        (the portable-stream home, DESIGN.md §4).
+//   layering-transitive  the `layering` DAG re-checked edge-by-edge on the
+//                        call graph, so a legal include cannot smuggle an
+//                        illegal call.
 //   wait-free            functions annotated `// cnd-wait-free` (the
 //                        admission path and the shard-worker score path)
 //                        must not transitively reach mutex acquisition,
@@ -50,8 +68,8 @@
 //                        `// cnd-throw-ok(<reason>)` barriers.
 //
 // Findings print as `file:line: rule: message`, one per line, to stdout.
-// A finding on a specific line can be waived with a trailing
-// `// cnd-analyze: allow(rule)` comment, mirroring cnd_lint's escape hatch.
+// A finding of any rule is waived by `// cnd-analyze: allow(rule[, rule])`
+// on the flagged line or the line directly above it.
 // `--sarif <file>` additionally writes the findings as SARIF 2.1.0 for CI
 // upload; `--rule=<name>` restricts the scan to one rule; `--json` appends a
 // one-line machine-readable summary. Exit status: 0 clean, 1 findings (or
@@ -76,6 +94,15 @@
 namespace {
 
 namespace fs = std::filesystem;
+
+bool read_file(const fs::path& p, std::string& out) {
+  std::ifstream in(p, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  out = ss.str();
+  return true;
+}
 
 // ---------------------------------------------------------------------------
 // Findings
@@ -117,6 +144,21 @@ struct Annotations {
   std::map<int, std::set<std::string>> allows;   // `cnd-analyze: allow(r)`
   std::string fixture_path;                      // `cnd-analyze-path: p`
   std::set<std::string> expects;                 // `cnd-analyze-expect: r`
+};
+
+/// One `#include` directive: the target between the delimiters.
+struct Include {
+  int line = 0;
+  std::string target;
+  bool angled = false;  // `<...>` rather than `"..."`
+};
+
+struct FileInfo {
+  std::string vpath;  // repo-relative path used for layer / rule decisions
+  Annotations ann;
+  std::vector<Tok> toks;     // code outside preprocessor directives
+  std::vector<Tok> pp_toks;  // directive bodies: textual rules only
+  std::vector<Include> includes;
 };
 
 bool ident_char(char c) {
@@ -183,31 +225,54 @@ void scan_comment(std::string_view text, int line, Annotations& ann) {
     if (skip_at != std::string_view::npos)
       ann.snapshot_skips[line] = paren_payload(text, skip_at);
   }
+  auto rule_list = [](std::string_view payload, std::set<std::string>& into) {
+    std::istringstream rules{std::string(payload)};
+    std::string rule;
+    while (std::getline(rules, rule, ','))
+      if (!trim(rule).empty()) into.insert(trim(rule));
+  };
   if ((at = text.find("cnd-analyze:")) != std::string_view::npos) {
     std::size_t allow_at = text.find("allow", at);
-    if (allow_at != std::string_view::npos) {
-      std::istringstream rules(paren_payload(text, allow_at));
-      std::string rule;
-      while (std::getline(rules, rule, ','))
-        if (!trim(rule).empty()) ann.allows[line].insert(trim(rule));
-    }
+    if (allow_at != std::string_view::npos)
+      rule_list(paren_payload(text, allow_at), ann.allows[line]);
   }
   if ((at = text.find("cnd-analyze-path:")) != std::string_view::npos)
     ann.fixture_path = trim(text.substr(at + 17));
-  if ((at = text.find("cnd-analyze-expect:")) != std::string_view::npos) {
-    const std::string rule = trim(text.substr(at + 19));
-    if (!rule.empty()) ann.expects.insert(rule);
-  }
+  if ((at = text.find("cnd-analyze-expect:")) != std::string_view::npos)
+    rule_list(text.substr(at + 19), ann.expects);
+}
+
+/// If the directive starting at src[i] (the `#`) is an `#include`, the
+/// target and its delimiter form.
+void record_include(const std::string& src, std::size_t i, int line,
+                    std::vector<Include>& out) {
+  auto skip_blank = [&] {
+    while (i < src.size() && (src[i] == ' ' || src[i] == '\t')) ++i;
+  };
+  ++i;
+  skip_blank();
+  if (src.compare(i, 7, "include") != 0) return;
+  i += 7;
+  skip_blank();
+  if (i >= src.size() || (src[i] != '<' && src[i] != '"')) return;
+  const char close = src[i] == '<' ? '>' : '"';
+  const std::size_t end = src.find_first_of(std::string{close, '\n'}, i + 1);
+  if (end == std::string::npos || src[end] != close) return;
+  out.push_back({line, src.substr(i + 1, end - i - 1), close == '>'});
 }
 
 /// Tokenize one C++ source file. Comments feed the annotation maps and are
 /// dropped; string/char literal *contents* are dropped (a bare Str token
-/// remains); preprocessor lines are skipped entirely (with continuations).
-void lex(const std::string& src, std::vector<Tok>& toks, Annotations& ann) {
+/// remains). Preprocessor directives (with continuations) tokenize into
+/// `pp_toks`, which only the textual rules read, and `#include` targets are
+/// recorded in `includes`.
+void lex(const std::string& src, FileInfo& fi) {
+  Annotations& ann = fi.ann;
   const std::size_t n = src.size();
   std::size_t i = 0;
   int line = 1;
   bool line_start = true;  // only whitespace seen since last newline
+  std::vector<Tok>* out = &fi.toks;  // &fi.pp_toks inside a directive
 
   auto peek = [&](std::size_t k) -> char {
     return i + k < n ? src[i + k] : '\0';
@@ -219,25 +284,27 @@ void lex(const std::string& src, std::vector<Tok>& toks, Annotations& ann) {
       ++line;
       ++i;
       line_start = true;
+      out = &fi.toks;
       continue;
     }
     if (c == ' ' || c == '\t' || c == '\r' || c == '\f' || c == '\v') {
       ++i;
       continue;
     }
-    if (c == '#' && line_start) {  // preprocessor line (+ continuations)
-      while (i < n) {
-        if (src[i] == '\\' && peek(1) == '\n') {
-          i += 2;
-          ++line;
-          continue;
-        }
-        if (src[i] == '\n') break;
-        ++i;
-      }
+    if (c == '\\' && peek(1) == '\n') {  // line continuation
+      i += 2;
+      ++line;
+      continue;
+    }
+    if (c == '#' && line_start) {  // preprocessor directive
+      record_include(src, i, line, fi.includes);
+      out = &fi.pp_toks;
+      line_start = false;
+      ++i;
       continue;
     }
     line_start = false;
+    auto& toks = *out;
     if (c == '/' && peek(1) == '/') {
       const std::size_t eol = src.find('\n', i);
       const std::size_t end = eol == std::string::npos ? n : eol;
@@ -414,12 +481,6 @@ struct ClassInfo {
   std::vector<MemberVar> members;
 };
 
-struct FileInfo {
-  std::string vpath;  // repo-relative path used for layer / rule decisions
-  Annotations ann;
-  std::vector<Tok> toks;
-};
-
 struct Model {
   std::vector<FileInfo> files;
   std::vector<FuncDef> defs;
@@ -489,6 +550,14 @@ const std::set<std::string>& clock_fn_names() {
                                           "timespec_get", "ftime",
                                           "__rdtsc", "_rdtsc"};
   return c;
+}
+
+/// Does `q` name a clock type (`steady_clock`, an alias like `Clock`), so
+/// that `q::now()` reads the time?
+bool clock_like(const std::string& q) {
+  std::string tail = q.size() >= 5 ? q.substr(q.size() - 5) : q;
+  for (char& ch : tail) ch = ch >= 'A' && ch <= 'Z' ? char(ch + 32) : ch;
+  return tail == "clock";
 }
 
 /// Integer targets that make a `reinterpret_cast` a pointer-to-integer
@@ -1073,9 +1142,7 @@ class Parser {
     if (t.text == "now" && is(i_ + 1, "(") && i_ >= 2 &&
         at(i_ - 1).text == "::" && at(i_ - 2).kind == Tk::Ident) {
       const std::string& q = at(i_ - 2).text;
-      std::string tail = q.size() >= 5 ? q.substr(q.size() - 5) : q;
-      for (char& ch : tail) ch = ch >= 'A' && ch <= 'Z' ? char(ch + 32) : ch;
-      if (tail == "clock") {
+      if (clock_like(q)) {
         def.taints.push_back({"wall-clock read '" + q + "::now()'", t.line});
         return;
       }
@@ -1186,30 +1253,25 @@ class Parser {
 // Checks
 // ---------------------------------------------------------------------------
 
+/// `// cnd-analyze: allow(rule[, rule...])` on the flagged line or the line
+/// above it.
 bool line_allowed(const Model& m, int file, int line, const std::string& rule) {
   const auto& allows = m.files[static_cast<std::size_t>(file)].ann.allows;
-  auto it = allows.find(line);
-  return it != allows.end() && it->second.count(rule) > 0;
+  for (const int at : {line, line - 1}) {
+    auto it = allows.find(at);
+    if (it != allows.end() && it->second.count(rule) > 0) return true;
+  }
+  return false;
 }
 
 const std::string& vpath_of(const Model& m, int file) {
   return m.files[static_cast<std::size_t>(file)].vpath;
 }
 
-/// Layer of a repo-relative path, or "" when the file is outside the layer
-/// DAG. Mirrors tools/cnd_lint.py (LAYER_DEPS) — keep the two in sync.
-std::string layer_of(const std::string& vpath) {
-  if (vpath.rfind("src/", 0) != 0) return {};
-  const std::size_t slash = vpath.find('/', 4);
-  if (slash == std::string::npos) return {};
-  static const std::set<std::string> layers = {
-      "obs",  "runtime", "tensor", "linalg",    "nn",
-      "ml",   "data",    "scenario", "eval",    "core",
-      "io",   "baselines", "serve"};
-  const std::string layer = vpath.substr(4, slash - 4);
-  return layers.count(layer) ? layer : std::string{};
-}
-
+/// The layer DAG, mirroring the target graph in src/CMakeLists.txt: a file
+/// in src/<layer>/ may depend on its own layer and the layers listed here.
+/// Both the `#include` edges (`layering`) and the call edges
+/// (`layering-transitive`) are checked against this one table.
 const std::map<std::string, std::set<std::string>>& layer_deps() {
   static const std::map<std::string, std::set<std::string>> deps = {
       {"obs", {}},
@@ -1236,11 +1298,25 @@ const std::map<std::string, std::set<std::string>>& layer_deps() {
   return deps;
 }
 
-/// cnd_factory spans core+baselines by design (src/CMakeLists.txt).
-bool layering_extra_ok(const std::string& vpath, const std::string& callee) {
-  return callee == "baselines" &&
-         (vpath == "src/core/detector_factory.cpp" ||
-          vpath == "src/core/detector_factory.hpp");
+/// Layer of a repo-relative path, or "" when the file is outside the DAG.
+std::string layer_of(const std::string& vpath) {
+  if (vpath.rfind("src/", 0) != 0) return {};
+  const std::size_t slash = vpath.find('/', 4);
+  if (slash == std::string::npos) return {};
+  const std::string layer = vpath.substr(4, slash - 4);
+  return layer_deps().count(layer) ? layer : std::string{};
+}
+
+/// May the file at `vpath` (in layer `from`) depend on layer `to`? Files
+/// outside the DAG are unconstrained either way. cnd_factory spans
+/// core+baselines by design (src/CMakeLists.txt), so its sources in
+/// src/core may reach into baselines.
+bool layer_edge_ok(const std::string& vpath, const std::string& from,
+                   const std::string& to) {
+  if (from.empty() || to.empty() || from == to) return true;
+  if (layer_deps().at(from).count(to)) return true;
+  return to == "baselines" && (vpath == "src/core/detector_factory.cpp" ||
+                               vpath == "src/core/detector_factory.hpp");
 }
 
 void check_hot_paths(const Model& m, std::vector<Finding>& out) {
@@ -1488,12 +1564,11 @@ void check_layering(const Model& m, std::vector<Finding>& out) {
   for (const FuncDef& d : m.defs) {
     const std::string caller_layer = layer_of(vpath_of(m, d.file));
     if (caller_layer.empty()) continue;
-    const std::set<std::string>& allowed = layer_deps().at(caller_layer);
     for (const CallSite& c : d.calls) {
       // Unqualified single-name calls (`x.size()`, a local's `operator()`,
       // an ADL call) match any definition with that terminal name — pure
       // noise at layer granularity. Objects or functions of a cross-layer
-      // type cannot appear without an illegal include, which cnd_lint's
+      // type cannot appear without an illegal include, which the `layering`
       // include rule already catches; the call-graph check earns its keep
       // on qualified calls, including those through forward declarations
       // that the include rule cannot see.
@@ -1507,10 +1582,7 @@ void check_layering(const Model& m, std::vector<Finding>& out) {
       for (std::size_t cand : cands) {
         const std::string callee_layer =
             layer_of(vpath_of(m, m.defs[cand].file));
-        const bool ok = callee_layer.empty() || callee_layer == caller_layer ||
-                        allowed.count(callee_layer) > 0 ||
-                        layering_extra_ok(vpath_of(m, d.file), callee_layer);
-        if (ok) {
+        if (layer_edge_ok(vpath_of(m, d.file), caller_layer, callee_layer)) {
           all_bad = false;
           break;
         }
@@ -1528,45 +1600,319 @@ void check_layering(const Model& m, std::vector<Finding>& out) {
   }
 }
 
-void check_rng_confinement(const Model& m, std::vector<Finding>& out) {
-  const std::string rule = "rng-confinement";
-  // Names assembled from pieces so this tool's own source stays clean under
-  // its own scan and under cnd_lint's regexes.
-  static const std::string kDistSuffix = std::string("_distri") + "bution";
-  static const std::set<std::string> engines = {
-      std::string("mt19") + "937",       std::string("mt19") + "937_64",
-      std::string("minstd_") + "rand",   std::string("minstd_") + "rand0",
-      std::string("ranlux") + "24",      std::string("ranlux") + "48",
-      std::string("ranlux") + "24_base", std::string("ranlux") + "48_base",
-      std::string("knuth") + "_b",       std::string("default_random_") + "engine",
-      std::string("random_") + "device"};
+bool starts_with(const std::string& s, std::string_view pre) {
+  return s.compare(0, pre.size(), pre) == 0;
+}
+
+bool ends_with(const std::string& s, std::string_view suf) {
+  return s.size() >= suf.size() &&
+         s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
+}
+
+/// A floating literal with an `f`/`F` suffix (`0.5f`, `1e-3F`, `0x1p4f`);
+/// hex integers such as `0x1f` are not.
+bool float_literal(const std::string& t) {
+  if (t.empty() || (t.back() != 'f' && t.back() != 'F')) return false;
+  const bool hex = t.size() > 1 && t[0] == '0' && (t[1] == 'x' || t[1] == 'X');
+  return t.find_first_of(hex ? "pP" : ".eE") != std::string::npos;
+}
+
+/// Raw engine types; `std::`-qualified names are also matched by prefix
+/// (`std::ranlux*`, `std::mt19937*`, `std::minstd_rand*`).
+const std::set<std::string>& rng_engine_names() {
+  static const std::set<std::string> e = {
+      "mt19937",       "mt19937_64",    "minstd_rand",
+      "minstd_rand0",  "ranlux24",      "ranlux48",
+      "ranlux24_base", "ranlux48_base", "knuth_b",
+      "default_random_engine",          "random_device"};
+  return e;
+}
+
+/// Unbounded or silently truncating C calls with safer repo idioms.
+const std::set<std::string>& banned_fn_names() {
+  static const std::set<std::string> b = {
+      "sprintf", "vsprintf", "strcpy", "strcat", "gets",   "tmpnam",
+      "atoi",    "atol",     "atof",   "asctime", "ctime"};
+  return b;
+}
+
+/// std lock primitives (`std::` + one of these) and their headers; all
+/// locking goes through runtime/annotated_mutex.hpp.
+const std::set<std::string>& naked_lock_names() {
+  static const std::set<std::string> l = {
+      "mutex",       "timed_mutex",  "recursive_mutex", "shared_mutex",
+      "shared_timed_mutex",          "lock_guard",      "unique_lock",
+      "shared_lock", "scoped_lock",  "condition_variable",
+      "condition_variable_any"};
+  return l;
+}
+
+/// Dependency-free concurrency headers that sit below the layer DAG and
+/// may be included from any layer: src/obs, the bottom layer, guards its
+/// registries with the annotated wrappers.
+const std::set<std::string>& layer_neutral_includes() {
+  static const std::set<std::string> n = {"tensor/thread_annotations.hpp",
+                                          "runtime/annotated_mutex.hpp"};
+  return n;
+}
+
+/// The per-file textual rules: what a token, a directive or a range-for
+/// looks like, wherever it sits (unlike the reachability rules, these are
+/// whole-file bans). Reads both the code and the directive token streams.
+void check_textual(const Model& m, std::vector<Finding>& out) {
   for (std::size_t f = 0; f < m.files.size(); ++f) {
-    const std::string& vpath = m.files[f].vpath;
-    if (vpath == "src/tensor/rng.cpp" || vpath == "src/tensor/rng.hpp")
-      continue;
-    const auto& toks = m.files[f].toks;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      if (toks[i].kind != Tk::Ident) continue;
-      const std::string& t = toks[i].text;
-      std::string what;
-      if (t.size() > kDistSuffix.size() &&
-          t.compare(t.size() - kDistSuffix.size(), kDistSuffix.size(),
-                    kDistSuffix) == 0)
-        what = "std distribution '" + t + "'";
-      else if (engines.count(t))
-        what = "raw RNG engine '" + t + "'";
-      else if (t == "engine" && i + 3 < toks.size() && i >= 1 &&
-               (toks[i - 1].text == "." || toks[i - 1].text == "->") &&
-               toks[i + 1].text == "(" && toks[i + 2].text == ")" &&
-               toks[i + 3].text == "(")
-        what = "raw engine draw via '.engine()()'";
-      if (what.empty()) continue;
-      if (line_allowed(m, static_cast<int>(f), toks[i].line, rule)) continue;
-      out.push_back({vpath, toks[i].line, rule,
-                     what + " outside src/tensor/rng.cpp — portable streams "
-                            "live there (DESIGN.md §4)"});
+    const FileInfo& fi = m.files[f];
+    const std::string& vpath = fi.vpath;
+    const std::string layer = layer_of(vpath);
+    const bool rng_home =
+        vpath == "src/tensor/rng.cpp" || vpath == "src/tensor/rng.hpp";
+    const bool clock_home = starts_with(vpath, "src/obs/");
+    const bool float_banned =
+        layer == "tensor" || layer == "linalg" || layer == "nn" ||
+        layer == "runtime";
+    std::set<std::pair<int, std::string>> reported;  // one per line and rule
+    auto report = [&](int line, const std::string& rule,
+                      const std::string& msg) {
+      if (line_allowed(m, static_cast<int>(f), line, rule)) return;
+      if (!reported.insert({line, rule}).second) return;
+      out.push_back({vpath, line, rule, msg});
+    };
+
+    // Names declared as unordered containers anywhere in the file.
+    std::set<std::string> unordered_vars;
+    for (const std::vector<Tok>* stream : {&fi.toks, &fi.pp_toks}) {
+      const std::vector<Tok>& toks = *stream;
+      for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+        if (!unordered_container_names().count(toks[i].text) ||
+            toks[i + 1].text != "<")
+          continue;
+        std::size_t k = i + 1;
+        for (int ad = 0; k < toks.size(); ++k) {
+          if (toks[k].text == "<") ++ad;
+          if (toks[k].text == ">" && --ad == 0) break;
+        }
+        while (++k < toks.size() &&
+               (toks[k].text == "&" || toks[k].text == "*"))
+          ;
+        if (k < toks.size() && toks[k].kind == Tk::Ident)
+          unordered_vars.insert(toks[k].text);
+      }
+    }
+
+    for (const std::vector<Tok>* stream : {&fi.toks, &fi.pp_toks}) {
+      const std::vector<Tok>& toks = *stream;
+      auto text = [&](std::size_t k) -> std::string_view {
+        return k < toks.size() ? std::string_view(toks[k].text)
+                               : std::string_view{};
+      };
+      for (std::size_t i = 0; i < toks.size(); ++i) {
+        const std::string& t = toks[i].text;
+        const int line = toks[i].line;
+        if (float_banned && toks[i].kind == Tk::Number &&
+            float_literal(t))
+          report(line, "no-float",
+                 "float literal '" + t + "' in a bit-exactness layer; the "
+                 "determinism contract is stated for double");
+        if (toks[i].kind != Tk::Ident) continue;
+        const bool std_qualified =
+            i >= 2 && text(i - 1) == "::" && text(i - 2) == "std";
+
+        if (!rng_home) {
+          std::string what;
+          if (t.size() > 13 && ends_with(t, "_distribution"))
+            what = "std distribution '" + t +
+                   "' (implementation-defined stream)";
+          else if (rng_engine_names().count(t) ||
+                   (std_qualified &&
+                    (starts_with(t, "mt19937") ||
+                     starts_with(t, "minstd_rand") ||
+                     starts_with(t, "ranlux"))))
+            what = "raw RNG engine '" + t + "'";
+          else if ((t == "rand" && std_qualified) ||
+                   (t == "srand" && text(i + 1) == "("))
+            what = "C library '" + t + "()'";
+          else if (t == "engine" && i >= 1 &&
+                   (text(i - 1) == "." || text(i - 1) == "->") &&
+                   text(i + 1) == "(" && text(i + 2) == ")" &&
+                   text(i + 3) == "(")
+            what = "raw engine draw via '.engine()()'";
+          if (!what.empty())
+            report(line, "rng-confinement",
+                   what + " outside src/tensor/rng.cpp — portable streams "
+                          "live there (DESIGN.md §4)");
+        }
+
+        if (float_banned && t == "float")
+          report(line, "no-float",
+                 "float in a bit-exactness layer; the determinism contract "
+                 "is stated for double accumulation");
+
+        if (banned_fn_names().count(t) && text(i + 1) == "(")
+          report(line, "no-banned-fn",
+                 "'" + t + "' is banned; use the bounded/checked alternative "
+                 "(snprintf, strtol/stod, std::string)");
+
+        if (std_qualified && naked_lock_names().count(t))
+          report(line, "no-naked-mutex",
+                 "raw std::" + t + "; lock through runtime::AnnotatedMutex / "
+                 "MutexLock / CondVar (runtime/annotated_mutex.hpp) so the "
+                 "thread-safety and concurrency rules can see it");
+
+        if (!clock_home) {
+          const bool clock =
+              (clock_like(t) && text(i + 1) == "::" && text(i + 2) == "now") ||
+              (clock_fn_names().count(t) && text(i + 1) == "(") ||
+              (t == "clock" && text(i + 1) == "(" && text(i + 2) == ")") ||
+              (t == "time" && text(i + 1) == "(" &&
+               (text(i + 2) == ")" ||
+                ((text(i + 2) == "NULL" || text(i + 2) == "nullptr" ||
+                  text(i + 2) == "0") &&
+                 text(i + 3) == ")")));
+          if (clock)
+            report(line, "no-clock",
+                   "clock read outside src/obs; route timing through the "
+                   "observability layer");
+        }
+
+        if (t == "hash" && text(i + 1) == "<") {
+          for (std::size_t k = i + 2; k < toks.size(); ++k) {
+            const std::string_view a = text(k);
+            if (a == ">" || a == ";" || a == "{" || a == "}" || a == "(" ||
+                a == ")")
+              break;
+            if (a == "*") {
+              report(line, "no-pointer-hash",
+                     "std::hash over a pointer type folds ASLR into the "
+                     "value; hash a stable id (index, name, flow key)");
+              break;
+            }
+          }
+        }
+
+        // Range-for: `for (decl : seq)`, the colon at paren depth 1 with no
+        // `;` before it (`::` is its own token).
+        if (t == "for" && text(i + 1) == "(") {
+          std::size_t k = i + 2;
+          int depth = 1;
+          for (; k < toks.size(); ++k) {
+            const std::string_view a = text(k);
+            if (a == "(") ++depth;
+            if (a == ")" && --depth == 0) break;
+            if (a == ";" || (a == ":" && depth == 1)) break;
+          }
+          if (text(k) != ":") continue;
+          std::string seq, seq_id;
+          bool unordered = false;
+          for (++k, depth = 1; k < toks.size(); ++k) {
+            const std::string& a = toks[k].text;
+            if (a == "(") ++depth;
+            if (a == ")" && --depth == 0) break;
+            seq += a;
+            if (a != "&" && a != "*" && a != "const") seq_id += a;
+            unordered = unordered || a.find("unordered_") != std::string::npos;
+          }
+          if (unordered || unordered_vars.count(seq_id))
+            report(line, "no-unordered-iter",
+                   "iteration over unordered container '" + seq +
+                       "' has unspecified order; use an ordered container or "
+                       "sort before emitting");
+        }
+      }
+    }
+
+    for (const Include& inc : fi.includes) {
+      if (inc.target.find("../") != std::string::npos)
+        report(inc.line, "include-hygiene",
+               "parent-relative include; include repo headers by their "
+               "src-rooted path");
+      if (starts_with(inc.target, "bits/"))
+        report(inc.line, "include-hygiene",
+               "libstdc++ internal header <bits/...>");
+      const std::string to = layer_of("src/" + inc.target);
+      if (inc.angled && !to.empty())
+        report(inc.line, "include-hygiene",
+               "first-party header <" + inc.target + "> must use quotes");
+      if (inc.angled && naked_lock_names().count(inc.target))
+        report(inc.line, "no-naked-mutex",
+               "<" + inc.target + "> outside the annotated wrappers; lock "
+               "through runtime/annotated_mutex.hpp");
+      if (!inc.angled && !layer_neutral_includes().count(inc.target) &&
+          !layer_edge_ok(vpath, layer, to))
+        report(inc.line, "layering",
+               "src/" + layer + " must not include from src/" + to +
+                   " (layer order: src/CMakeLists.txt, "
+                   "docs/STATIC_ANALYSIS.md)");
     }
   }
+}
+
+/// The string literal following each occurrence of `prefix` (which ends at
+/// the opening quote) that is not glued to a preceding identifier.
+std::vector<std::string> quoted_after(const std::string& text,
+                                      std::string_view prefix) {
+  std::vector<std::string> out;
+  for (std::size_t at = text.find(prefix); at != std::string::npos;
+       at = text.find(prefix, at + 1)) {
+    if (at > 0 && ident_char(text[at - 1])) continue;
+    const std::size_t b = at + prefix.size();
+    const std::size_t e = text.find('"', b);
+    if (e != std::string::npos) out.push_back(text.substr(b, e - b));
+  }
+  return out;
+}
+
+/// registry-coverage: tools/check_determinism.sh must name every detector
+/// registered in core::make_detector and every kernel case
+/// bench_micro_substrate --dump-kernels emits, so the end-to-end
+/// determinism check cannot silently skip a detector or a blocked kernel.
+void check_registry_coverage(const fs::path& root, std::vector<Finding>& out) {
+  const std::string rule = "registry-coverage";
+  const std::string factory = "src/core/detector_factory.cpp";
+  const std::string script = "tools/check_determinism.sh";
+  const std::string bench = "bench/bench_micro_substrate.cpp";
+  std::string factory_text, script_text, bench_text;
+  auto load = [&](const std::string& vpath, std::string& text) {
+    if (read_file(root / vpath, text)) return true;
+    out.push_back({vpath, 1, rule, "cannot read " + vpath});
+    return false;
+  };
+  if (!load(factory, factory_text) || !load(script, script_text) ||
+      !load(bench, bench_text))
+    return;
+  const std::vector<std::string> detectors =
+      quoted_after(factory_text, "add(\"");
+  if (detectors.empty())
+    out.push_back({factory, 1, rule,
+                   "no registered detectors found (parser drift?)"});
+  for (const std::string& name : detectors)
+    if (script_text.find("\"" + name + "\"") == std::string::npos)
+      out.push_back({script, 1, rule,
+                     "registered detector '" + name +
+                         "' is not covered by check_determinism.sh"});
+
+  // Kernel cases: the dump_matrix("name", ...) calls plus raw fprintf rows
+  // ("name,%zu,...") in the --dump-kernels writer.
+  std::set<std::string> cases;
+  for (const std::string& c : quoted_after(bench_text, "dump_matrix(\""))
+    cases.insert(c);
+  for (const std::string& row : quoted_after(bench_text, "fprintf(f, \"")) {
+    const std::size_t comma = row.find(",%zu");
+    if (comma != std::string::npos && comma > 0 &&
+        row.find_first_not_of("abcdefghijklmnopqrstuvwxyz_") == comma)
+      cases.insert(row.substr(0, comma));
+  }
+  if (cases.empty())
+    out.push_back({bench, 1, rule,
+                   "no --dump-kernels cases found (parser drift?)"});
+  if (script_text.find("bench_micro_substrate") == std::string::npos)
+    out.push_back({script, 1, rule,
+                   "check_determinism.sh never runs bench_micro_substrate's "
+                   "kernel sweep"});
+  for (const std::string& c : cases)
+    if (script_text.find("\"" + c + "\"") == std::string::npos)
+      out.push_back({script, 1, rule,
+                     "kernel dump case '" + c +
+                         "' is not covered by check_determinism.sh"});
 }
 
 /// Site-level `// cnd-det-ok(reason)` / `// cnd-throw-ok(reason)` waivers:
@@ -1727,20 +2073,11 @@ void check_throw_free(const Model& m, std::vector<Finding>& out) {
 // Drivers
 // ---------------------------------------------------------------------------
 
-bool read_file(const fs::path& p, std::string& out) {
-  std::ifstream in(p, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
 int add_file(Model& m, const std::string& vpath, const std::string& text,
              bool parse_defs) {
   FileInfo fi;
   fi.vpath = vpath;
-  lex(text, fi.toks, fi.ann);
+  lex(text, fi);
   m.files.push_back(std::move(fi));
   const int idx = static_cast<int>(m.files.size()) - 1;
   if (parse_defs) Parser(m, idx).run();
@@ -1763,8 +2100,12 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"layering-transitive",
        "call edges must respect the layer DAG even through forward "
        "declarations"},
+      {"layering",
+       "#include edges must respect the same layer DAG"},
       {"rng-confinement",
-       "std distributions and raw engines live in src/tensor/rng.cpp only"},
+       "std distributions, raw engines and draws, and std::rand/srand live "
+       "in src/tensor/rng.{hpp,cpp} only (folds no-raw-rng and "
+       "no-std-distribution)"},
       {"snapshot-completeness",
        "every data member of a snapshot()/restore() class is referenced in "
        "both bodies or carries cnd-snapshot: skip(<reason>)"},
@@ -1775,6 +2116,24 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"throw-free-hot",
        "cnd-hot roots must not reach throw/require outside cnd-throw-ok "
        "barriers"},
+      {"no-clock", "no clock read outside src/obs (whole-file ban)"},
+      {"no-unordered-iter",
+       "no range-for over an unordered container (whole-file ban)"},
+      {"no-pointer-hash",
+       "no std::hash over a pointer type (whole-file ban)"},
+      {"no-float",
+       "no float type or f-suffixed literal in src/{tensor,linalg,nn,"
+       "runtime}, the bit-exactness layers"},
+      {"no-banned-fn",
+       "no sprintf/strcpy/atoi-family C calls (unbounded or truncating)"},
+      {"no-naked-mutex",
+       "no std lock primitive or its header outside the annotated wrappers "
+       "(runtime/annotated_mutex.hpp)"},
+      {"include-hygiene",
+       "no \"../\" or <bits/...> includes; first-party headers in quotes"},
+      {"registry-coverage",
+       "check_determinism.sh names every registered detector and "
+       "--dump-kernels case (tree scan only)"},
   };
   return rules;
 }
@@ -1785,7 +2144,10 @@ bool known_rule(const std::string& name) {
   return false;
 }
 
-std::vector<Finding> run_checks(Model& m, const std::string& only_rule = {}) {
+/// Run every rule (or only `only_rule`). registry-coverage reads the repo
+/// files it cross-checks from `root`, so it runs only when one is given.
+std::vector<Finding> run_checks(Model& m, const std::string& only_rule = {},
+                                const fs::path& root = {}) {
   m.index();
   std::vector<Finding> findings;
   const auto want = [&](std::string_view r) {
@@ -1795,10 +2157,17 @@ std::vector<Finding> run_checks(Model& m, const std::string& only_rule = {}) {
   if (want("wait-free")) check_wait_free(m, findings);
   if (want("lock-order")) check_lock_order(m, findings);
   if (want("layering-transitive")) check_layering(m, findings);
-  if (want("rng-confinement")) check_rng_confinement(m, findings);
   if (want("snapshot-completeness")) check_snapshot_completeness(m, findings);
   if (want("determinism-taint")) check_determinism_taint(m, findings);
   if (want("throw-free-hot")) check_throw_free(m, findings);
+  check_textual(m, findings);
+  if (!root.empty()) check_registry_coverage(root, findings);
+  if (!only_rule.empty())
+    findings.erase(std::remove_if(findings.begin(), findings.end(),
+                                  [&](const Finding& f) {
+                                    return f.rule != only_rule;
+                                  }),
+                   findings.end());
   std::sort(findings.begin(), findings.end());
   return findings;
 }
@@ -1918,8 +2287,7 @@ std::vector<std::string> compile_command_files(const std::string& json) {
 }
 
 bool skip_vpath(const std::string& vpath) {
-  return vpath.find("lint_selftest") != std::string::npos ||
-         vpath.find("analyze_selftest") != std::string::npos ||
+  return vpath.find("analyze_selftest") != std::string::npos ||
          vpath.rfind("build/", 0) == 0;
 }
 
@@ -1948,15 +2316,18 @@ int run_tree(const fs::path& compile_commands, const fs::path& root,
     const std::string vpath = rel.generic_string();
     if (!skip_vpath(vpath)) vpaths.insert(vpath);
   }
-  // Headers never appear in compile_commands; pick them up directly so
-  // inline hot-path code (layer defaults, parallel_for) is modeled too.
+  // Walk the first-party directories too: headers never appear in
+  // compile_commands (inline hot-path code, such as layer defaults and
+  // parallel_for, must be modeled), and neither does a source the build
+  // only compiles as a negative test (tests/thread_safety_violation.cpp).
   for (const char* dir : {"src", "tests", "bench", "tools", "examples"}) {
     const fs::path base = root_abs / dir;
     if (!fs::exists(base)) continue;
     for (const auto& e : fs::recursive_directory_iterator(base)) {
       if (!e.is_regular_file()) continue;
       const std::string ext = e.path().extension().string();
-      if (ext != ".hpp" && ext != ".h") continue;
+      if (ext != ".cpp" && ext != ".hpp" && ext != ".h" && ext != ".cc")
+        continue;
       const std::string vpath =
           e.path().lexically_relative(root_abs).generic_string();
       if (!skip_vpath(vpath)) vpaths.insert(vpath);
@@ -1976,11 +2347,11 @@ int run_tree(const fs::path& compile_commands, const fs::path& root,
       return 2;
     }
     // The call-graph model covers src/ — the library code the contracts
-    // bind. Tests/bench/tools are still scanned for RNG confinement.
+    // bind. Every file gets the textual rules.
     add_file(m, vpath, text, vpath.rfind("src/", 0) == 0);
   }
 
-  const std::vector<Finding> findings = run_checks(m, opt.only_rule);
+  const std::vector<Finding> findings = run_checks(m, opt.only_rule, root_abs);
 
   std::size_t hot = 0, barriers = 0, wait_free = 0, block_barriers = 0;
   for (const FuncDef& d : m.defs) {

@@ -288,9 +288,9 @@ inline core::DetectorConfig paper_detector_config(std::uint64_t seed) {
 
 /// Route every neighbor-driven detector path through the IVF index with the
 /// given probe count (docs/ANN.md): LOF and kNN reference-set queries, and
-/// the CND-IDS / Adaptive pseudo-label K-Means predict passes (`cnd` is
-/// shared by both). nprobe = 0 is a no-op — the configs default to exact.
-/// Detectors without a neighbor path (PCA, DIF, GMM, ...) are unaffected.
+/// the CND-IDS pseudo-label K-Means predict passes. nprobe = 0 is a no-op —
+/// the configs default to exact. Detectors without a neighbor path (PCA,
+/// DIF, GMM, ...) are unaffected.
 inline void apply_ann_nprobe(core::DetectorConfig& c, std::size_t nprobe) {
   c.lof.ann.nprobe = nprobe;
   c.knn.ann.nprobe = nprobe;

@@ -12,7 +12,7 @@
 // Extra flags on top of the common harness set:
 //   --scenarios=a,b   comma list (default: every registered scenario)
 //   --detectors=x,y   comma list of registry names
-//                     (default: CND-IDS,Adaptive,PCA,DIF)
+//                     (default: CND-IDS,PCA,DIF)
 //   --dataset=name    x_iiotid|wustl_iiot|cicids2017|unsw_nb15
 //                     (default: unsw_nb15)
 //   --experiences=N   stream length m (default: the dataset's paper m)
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> scenarios = scenario::scenario_names();
   if (!string_flag(argc, argv, "--scenarios=").empty())
     scenarios = split_csv(string_flag(argc, argv, "--scenarios="));
-  std::vector<std::string> detectors{"CND-IDS", "Adaptive", "PCA", "DIF"};
+  std::vector<std::string> detectors{"CND-IDS", "PCA", "DIF"};
   if (!string_flag(argc, argv, "--detectors=").empty())
     detectors = split_csv(string_flag(argc, argv, "--detectors="));
 

@@ -1,27 +1,27 @@
-// Extension bench: experience-windowed CND-IDS vs the streaming wrapper.
+// Extension bench: experience-windowed CND-IDS vs the scoring service.
 //
 // The paper's protocol adapts at oracle experience boundaries; a deployment
 // cannot see those boundaries. This bench replays the same labeled stream
 // through (a) the windowed protocol (adaptation exactly at experience
-// boundaries, the paper's setting) and (b) StreamingCndIds (self-triggered
-// adaptation via Page-Hinkley drift detection + buffer caps), comparing
-// detection quality and adaptation counts. Both run with label-free POT
-// thresholds calibrated on the clean window at a 1% target false-alarm
-// rate, so the comparison isolates the *scheduling* question.
+// boundaries, the paper's setting) and (b) a 1-shard serve::ScoringService
+// (an adaptation round every 1024 admitted flows), comparing detection
+// quality and adaptation counts. Both run with label-free POT thresholds
+// calibrated on the clean window at a 1% target false-alarm rate, so the
+// comparison isolates the *scheduling* question.
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/streaming_cnd_ids.hpp"
 #include "data/csv.hpp"
 #include "eval/metrics.hpp"
 #include "eval/robust_threshold.hpp"
+#include "serve/service.hpp"
 
 int main(int argc, char** argv) {
   using namespace cnd;
   bench::BenchOptions opt = bench::parse_options(argc, argv);
   if (opt.size_scale > 0.3) opt.size_scale = 0.3;
 
-  std::printf("=== Extension: windowed protocol vs streaming self-scheduling ===\n\n");
+  std::printf("=== Extension: windowed protocol vs the scoring service ===\n\n");
   std::printf("  %-12s %16s %14s %12s %12s\n", "dataset", "mode", "adaptations",
               "F1", "recall");
 
@@ -60,40 +60,40 @@ int main(int argc, char** argv) {
       labels.push_back(ds.name + "/windowed");
     }
 
-    // (b) Streaming: batches of 64 flows, self-scheduled adaptation.
+    // (b) Service: batches of 64 flows into one shard, an adaptation round
+    // every 1024 admitted flows. A batch is scored by the artifact current
+    // at its admission, so a round never rescores the batch that triggered it.
     {
-      core::StreamingConfig cfg;
-      cfg.detector = bench::paper_cnd_config(opt.seed);
-      cfg.min_buffer_rows = 256;
-      cfg.max_buffer_rows = 1024;
-      cfg.ph_delta = 0.5;
-      cfg.ph_lambda = 40.0;
-      core::StreamingCndIds mon(cfg);
-      mon.bootstrap(es.n_clean);
+      serve::ServiceConfig cfg;
+      cfg.detector_cfg = bench::paper_detector_config(opt.seed);
+      cfg.adapt_interval_flows = 1024;
+      serve::ScoringService svc(cfg);
+      svc.bootstrap(es.n_clean);
 
-      eval::Confusion total;
+      std::vector<int> truth;
       const std::size_t batch_rows = 64;
       for (const auto& e : es.experiences) {
         for (std::size_t start = 0; start + batch_rows <= e.x_test.rows();
              start += batch_rows) {
           std::vector<std::size_t> idx;
           for (std::size_t i = 0; i < batch_rows; ++i) idx.push_back(start + i);
-          const auto r = mon.process_batch(e.x_test.take_rows(idx));
-          std::vector<int> truth;
+          const Matrix batch = e.x_test.take_rows(idx);
+          while (!svc.try_submit(batch)) svc.drain();
           for (std::size_t i : idx) truth.push_back(e.y_test[i]);
-          const auto c = eval::confusion(r.verdicts, truth);
-          total.tp += c.tp;
-          total.fp += c.fp;
-          total.tn += c.tn;
-          total.fn += c.fn;
         }
       }
-      std::printf("  %-12s %16s %14zu %12.4f %12.4f\n", ds.name.c_str(),
-                  "streaming(self)", mon.adaptations(), eval::f1_score(total),
-                  eval::recall(total));
-      csv.push_back({static_cast<double>(mon.adaptations()),
+      svc.drain();
+      std::vector<int> verdicts;
+      for (const serve::BatchResult& r : svc.results())
+        verdicts.insert(verdicts.end(), r.verdicts.begin(), r.verdicts.end());
+      const eval::Confusion total = eval::confusion(verdicts, truth);
+      std::printf("  %-12s %16s %14llu %12.4f %12.4f\n", ds.name.c_str(),
+                  "service(1024)",
+                  static_cast<unsigned long long>(svc.adaptations()),
+                  eval::f1_score(total), eval::recall(total));
+      csv.push_back({static_cast<double>(svc.adaptations()),
                      eval::f1_score(total), eval::recall(total)});
-      labels.push_back(ds.name + "/streaming");
+      labels.push_back(ds.name + "/service");
     }
     std::fflush(stdout);
   }

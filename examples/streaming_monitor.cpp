@@ -1,21 +1,20 @@
 // Streaming monitor: CND-IDS without experience boundaries.
 //
 // The paper's protocol hands the model whole experiences; a real monitor
-// sees mini-batches. StreamingCndIds scores each batch immediately and
-// decides for itself when to adapt: a Page-Hinkley detector watches the
-// batch-mean anomaly score and triggers an adaptation round when the stream
-// shifts (with a buffer-size cap as a fallback). This example replays a
-// drifting CICIDS2017-like stream in 64-flow batches and logs every
-// adaptation the monitor chose to make.
+// sees mini-batches. A 1-shard serve::ScoringService scores each batch as it
+// arrives and runs an adaptation round (CFE fit + PCA refit on the flows
+// admitted since the last round, then a POT threshold on the clean window)
+// every 768 admitted flows. This example replays a drifting CICIDS2017-like
+// stream in 64-flow batches and logs every adaptation round.
 //
 //   ./streaming_monitor [seed]
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/streaming_cnd_ids.hpp"
 #include "data/experiences.hpp"
 #include "data/synth.hpp"
 #include "eval/metrics.hpp"
+#include "serve/service.hpp"
 
 int main(int argc, char** argv) {
   using namespace cnd;
@@ -27,14 +26,11 @@ int main(int argc, char** argv) {
   data::ExperienceSet es =
       data::prepare_experiences(ds, {.n_experiences = 5, .seed = seed});
 
-  core::StreamingConfig cfg;
-  cfg.detector.cfe.epochs = 6;
-  cfg.detector.seed = seed;
-  cfg.min_buffer_rows = 256;
-  cfg.max_buffer_rows = 768;
-  cfg.ph_delta = 0.5;   // FRE means are noisy; tolerate small wobble
-  cfg.ph_lambda = 40.0;
-  core::StreamingCndIds monitor(cfg);
+  serve::ServiceConfig cfg;
+  cfg.detector_cfg.cnd.cfe.epochs = 6;
+  cfg.detector_cfg.cnd.seed = seed;
+  cfg.adapt_interval_flows = 768;
+  serve::ScoringService monitor(cfg);
   monitor.bootstrap(es.n_clean);
   std::printf("bootstrapped on %zu vouched flows\n\n", es.n_clean.rows());
 
@@ -51,24 +47,30 @@ int main(int argc, char** argv) {
       std::vector<int> truth;
       for (std::size_t i : idx) truth.push_back(exp.y_test[i]);
 
-      const core::StreamBatchResult r = monitor.process_batch(batch);
-      const eval::Confusion c = eval::confusion(r.verdicts, truth);
+      // Synchronous use: drain after each batch so its verdicts are ready.
+      const std::uint64_t rounds_before = monitor.adaptations();
+      while (!monitor.try_submit(batch)) monitor.drain();
+      monitor.drain();
+      const eval::Confusion c =
+          eval::confusion(monitor.results().back().verdicts, truth);
       total.tp += c.tp;
       total.fp += c.fp;
       total.tn += c.tn;
       total.fn += c.fn;
 
-      if (r.adapted)
-        std::printf("batch %4zu: ADAPTED (%s, %zu adaptations so far, "
+      if (monitor.adaptations() != rounds_before)
+        std::printf("batch %4zu: ADAPTED (%llu adaptations so far, "
                     "threshold now %.2f)\n",
-                    batch_no, r.drift_signal ? "drift signal" : "buffer cap",
-                    monitor.adaptations(), r.threshold);
+                    batch_no,
+                    static_cast<unsigned long long>(monitor.adaptations()),
+                    monitor.threshold());
       ++batch_no;
     }
   }
 
-  std::printf("\nstream replay done: %zu flows in %zu batches, %zu adaptations\n",
-              monitor.flows_seen(), batch_no, monitor.adaptations());
+  std::printf("\nstream replay done: %llu flows in %zu batches, %llu adaptations\n",
+              static_cast<unsigned long long>(monitor.flows_admitted()), batch_no,
+              static_cast<unsigned long long>(monitor.adaptations()));
   std::printf("online totals: precision %.3f recall %.3f F1 %.3f "
               "(label-free thresholds throughout)\n",
               eval::precision(total), eval::recall(total), eval::f1_score(total));

@@ -89,11 +89,6 @@ void register_builtins(Registry& r) CND_REQUIRES(r.mutex) {
   },
       "the paper's detector: CFE encoder + PCA scoring, refits every "
       "experience");
-  add("Adaptive", DetectorKind::kContinual, [](const DetectorConfig& c) {
-    return std::make_unique<AdaptiveCndIds>(c.cnd, c.adaptive);
-  },
-      "drift-gated CND-IDS: Page-Hinkley on stream scores decides when to "
-      "refit");
   add("ADCN", DetectorKind::kContinual, [](const DetectorConfig& c) {
     return std::make_unique<baselines::Adcn>(c.adcn);
   },

@@ -1,9 +1,9 @@
 // Unified detector factory and registry.
 //
 // Every detector the experiments compare — the continual methods (CND-IDS,
-// its drift-gated Adaptive variant, ADCN, LwF) and the static
-// novelty/outlier baselines (PCA, DIF, GMM, Maha, kNN, HBOS, AE, LOF,
-// OC-SVM) — is constructible by name through make_detector(). The registry's names are the single source of truth for
+// ADCN, LwF) and the static novelty/outlier baselines (PCA, DIF, GMM, Maha,
+// kNN, HBOS, AE, LOF, OC-SVM) — is constructible by name through
+// make_detector(). The registry's names are the single source of truth for
 // the detector identifiers written into result CSVs, so a bench and the CLI
 // can never drift apart on what "DIF" means.
 //
@@ -27,7 +27,6 @@
 
 #include "baselines/adcn.hpp"
 #include "baselines/lwf.hpp"
-#include "core/adaptive_cnd_ids.hpp"
 #include "core/cnd_ids.hpp"
 #include "core/detector.hpp"
 #include "core/experience_runner.hpp"
@@ -55,9 +54,6 @@ struct DetectorConfig {
   CndIdsConfig cnd;
   baselines::AdcnConfig adcn;
   baselines::LwfConfig lwf;
-  /// Drift-gate knobs for "Adaptive" (which shares `cnd` for its inner
-  /// CND-IDS model).
-  AdaptiveTriggerConfig adaptive;
 
   ml::PcaConfig pca{.explained_variance = 0.95};
   ml::DeepIsolationForestConfig dif{.n_representations = 24, .trees_per_repr = 6};

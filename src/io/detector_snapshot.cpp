@@ -1,12 +1,12 @@
 // Snapshot/restore of detector scoring state — the implementation of
-// core::ContinualDetector's serving hot-swap contract for CndIds and
-// AdaptiveCndIds, routed through io::binary.
+// core::ContinualDetector's serving hot-swap contract for CndIds, routed
+// through io::binary.
 //
 // These are member functions of core:: classes defined in an io-layer TU on
 // purpose: core cannot depend on io (layering), but a member function may
 // be defined in any translation unit, and this one lives in cnd_io where
-// the serialization primitives are. Consequence: the CndIds/AdaptiveCndIds
-// vtables reference these symbols, so every binary linking cnd_core must
+// the serialization primitives are. Consequence: the CndIds vtable
+// references these symbols, so every binary linking cnd_core must
 // also link cnd_io (see cnd_add_bench/cnd_add_example/cnd_add_test).
 //
 // A snapshot is model state only, never data — the same storage argument
@@ -18,8 +18,7 @@
 // header, detector tag, payload length, payload bytes, FNV-1a-64 of the
 // payload. The whole payload is buffered and verified before any member is
 // touched, so a truncated or bit-flipped artifact throws from restore()
-// without half-mutating the detector. The Adaptive payload nests the full
-// inner CndIds envelope, so the inner state is independently checksummed.
+// without half-mutating the detector.
 #include <istream>
 #include <memory>
 #include <ostream>
@@ -27,7 +26,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/adaptive_cnd_ids.hpp"
 #include "core/cnd_ids.hpp"
 #include "io/binary.hpp"
 #include "nn/activations.hpp"
@@ -43,7 +41,6 @@ namespace {
 // Detector tags on a snapshot envelope: restoring from the wrong
 // detector's bytes must fail loudly, not mis-load.
 constexpr std::uint64_t kTagCndIds = 1;
-constexpr std::uint64_t kTagAdaptive = 2;
 
 // Layer tags of a serialized encoder.
 constexpr std::uint64_t kLinear = 1, kRelu = 2;
@@ -115,42 +112,6 @@ void CndIds::restore(std::istream& is) {
   require(payload.good(), "CndIds::restore: truncated snapshot");
   cfe_.restore_encoder(std::move(enc), input_dim);
   pca_ = ml::Pca(std::move(mean), std::move(comps));
-}
-
-void AdaptiveCndIds::snapshot(std::ostream& os) const {
-  std::ostringstream payload(std::ios::binary);
-  detector_.snapshot(payload);
-  io::write_f64(payload, ref_mean_);
-  io::write_u64(payload, fitted_ ? 1 : 0);
-  io::write_u64(payload, updates_);
-  io::write_u64(payload, skips_);
-  io::write_u64(payload, drift_signals_);
-  const ml::PageHinkley::State ph = ph_.state();
-  io::write_u64(payload, ph.n);
-  io::write_f64(payload, ph.mean);
-  io::write_f64(payload, ph.mt);
-  io::write_f64(payload, ph.min_mt);
-  require(payload.good(), "AdaptiveCndIds::snapshot: payload write failed");
-  io::write_envelope(os, kTagAdaptive, payload.str());
-  require(os.good(), "AdaptiveCndIds::snapshot: write failed");
-}
-
-void AdaptiveCndIds::restore(std::istream& is) {
-  std::istringstream payload(io::read_envelope(is, kTagAdaptive, "Adaptive"),
-                             std::ios::binary);
-  detector_.restore(payload);
-  ref_mean_ = io::read_f64(payload);
-  fitted_ = io::read_u64(payload) == 1;
-  updates_ = static_cast<std::size_t>(io::read_u64(payload));
-  skips_ = static_cast<std::size_t>(io::read_u64(payload));
-  drift_signals_ = static_cast<std::size_t>(io::read_u64(payload));
-  ml::PageHinkley::State ph;
-  ph.n = static_cast<std::size_t>(io::read_u64(payload));
-  ph.mean = io::read_f64(payload);
-  ph.mt = io::read_f64(payload);
-  ph.min_mt = io::read_f64(payload);
-  require(payload.good(), "AdaptiveCndIds::restore: truncated snapshot");
-  ph_.set_state(ph);
 }
 
 }  // namespace cnd::core

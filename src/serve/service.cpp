@@ -38,12 +38,8 @@ void ScoringService::bootstrap(const Matrix& n_clean) {
   Matrix seed_x;
   std::vector<int> seed_y;
   trainer_->setup(core::SetupContext{n_clean_, seed_x, seed_y});
-  // Bootstrap round: the clean window doubles as the first training stream
-  // (same protocol as StreamingCndIds::bootstrap).
+  // Bootstrap round: the clean window doubles as the first training stream.
   trainer_->observe_experience(n_clean_);
-  threshold_ = eval::pot_threshold(
-      trainer_->score(n_clean_),
-      {.tail_quantile = 0.9, .target_prob = cfg_.target_fpr});
   publish();
 
   running_ = true;
@@ -59,6 +55,12 @@ void ScoringService::bootstrap(const Matrix& n_clean) {
 }
 
 void ScoringService::publish() {
+  // Calibrate the alarm level on the vouched clean window, never on the live
+  // buffer: admitted traffic breaks the calibration whenever an attack wave
+  // dominates it, and N_c is the only data whose label the operator knows.
+  threshold_ = eval::pot_threshold(
+      trainer_->score(n_clean_),
+      {.tail_quantile = 0.9, .target_prob = cfg_.target_fpr});
   ++version_;
   artifact_ = make_artifact(version_, cfg_.detector, threshold_, *trainer_);
   obs::metrics().gauge("serve.artifact_version").set(static_cast<double>(version_));
@@ -119,11 +121,6 @@ void ScoringService::maybe_adapt(const Matrix& batch) {
   const std::size_t buffer_rows = adapt_buffer_.rows();
   obs::ScopedTimer timer(obs::metrics(), "serve.adaptation_ms");
   trainer_->observe_experience(adapt_buffer_);
-  // Recalibrate on the vouched clean window, never the live buffer — the
-  // same argument as StreamingCndIds::adapt.
-  threshold_ = eval::pot_threshold(
-      trainer_->score(n_clean_),
-      {.tail_quantile = 0.9, .target_prob = cfg_.target_fpr});
   adapt_buffer_ = Matrix();
   publish();
   ++adaptations_;

@@ -1,5 +1,8 @@
-// Sharded scoring service — StreamingCndIds promoted to a production shape
-// (docs/SERVING.md).
+// Sharded scoring service, and the library's one online adaptation loop
+// (docs/SERVING.md). The paper adapts once per experience; a deployment has
+// no experience boundaries, so the service cuts the admitted stream into
+// fixed-size windows and runs the same round (CFE fit + PCA refit, then a
+// POT threshold on the clean window) on each.
 //
 // Topology: one producer thread (the caller of try_submit) feeds a bounded
 // admission queue; N shard workers pop batches and score them against an
@@ -122,7 +125,8 @@ class ScoringService {
   void worker_loop();
   /// Buffer admitted flows and run the adaptation round when due.
   void maybe_adapt(const Matrix& batch);
-  /// Snapshot the trainer into artifact version_ + 1.
+  /// Calibrate the threshold on the clean window under the trainer's
+  /// current model, then snapshot the trainer into artifact version_ + 1.
   void publish();
 
   ServiceConfig cfg_;

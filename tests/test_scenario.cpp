@@ -1,6 +1,6 @@
-// Scenario generators (src/scenario) and the adaptive-trigger detector:
-// registry behavior, stream shapes, and the determinism contract — every
-// scenario replays bit-identically from a fixed seed at 1 and 4 threads.
+// Scenario generators (src/scenario): registry behavior, stream shapes, and
+// the determinism contract — every scenario replays bit-identically from a
+// fixed seed at 1 and 4 threads.
 #include "scenario/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +11,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "core/adaptive_cnd_ids.hpp"
-#include "core/detector_factory.hpp"
 #include "data/synth.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -198,64 +196,6 @@ TEST(Scenario, ReplaysBitIdenticallyAcrossThreadCounts) {
     EXPECT_FALSE(same_set(t1, reseeded)) << name << " ignores the seed";
   }
   runtime::set_threads(before);
-}
-
-TEST(AdaptiveDetector, RegisteredWithDescription) {
-  const std::vector<std::string> names = core::detector_names();
-  EXPECT_EQ(names.size(), 13u);
-  EXPECT_NE(std::find(names.begin(), names.end(), "Adaptive"), names.end());
-  EXPECT_EQ(core::detector_kind("Adaptive"), core::DetectorKind::kContinual);
-  EXPECT_NE(core::detector_description("Adaptive").find("Page-Hinkley"),
-            std::string::npos);
-  for (const std::string& n : names)
-    EXPECT_FALSE(core::detector_description(n).empty()) << n;
-}
-
-TEST(AdaptiveDetector, SkipsStableStreamsAndRefitsOnDrift) {
-  // Train on a tight blob, then feed the same distribution (should skip)
-  // and a strongly shifted one (should refit).
-  Rng rng(3);
-  const auto blob = [&](double mean, std::size_t rows) {
-    Matrix x(rows, 6);
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t c = 0; c < 6; ++c) x(r, c) = rng.normal(mean, 1.0);
-    return x;
-  };
-  const Matrix n_clean = blob(0.0, 128);
-  const Matrix stream_same = blob(0.0, 512);
-  const Matrix stream_shifted = blob(8.0, 512);
-
-  core::CndIdsConfig det;
-  det.cfe.hidden_dim = 16;
-  det.cfe.latent_dim = 8;
-  det.cfe.epochs = 2;
-  det.cfe.kmeans_k = 2;
-  core::AdaptiveCndIds adaptive(det);
-  Matrix seed_x;
-  std::vector<int> seed_y;
-  adaptive.setup(core::SetupContext{n_clean, seed_x, seed_y});
-
-  adaptive.observe_experience(blob(0.0, 512));  // bootstrap: always fits
-  EXPECT_EQ(adaptive.updates(), 1u);
-  adaptive.observe_experience(stream_same);
-  EXPECT_EQ(adaptive.updates(), 1u);
-  EXPECT_EQ(adaptive.skips(), 1u);
-  adaptive.observe_experience(stream_shifted);
-  EXPECT_EQ(adaptive.updates(), 2u);
-  EXPECT_EQ(adaptive.drift_signals(), 1u);
-
-  const std::vector<double> scores = adaptive.score(n_clean);
-  EXPECT_EQ(scores.size(), n_clean.rows());
-  for (double s : scores) EXPECT_TRUE(std::isfinite(s));
-}
-
-TEST(AdaptiveDetector, RejectsBadTriggerConfig) {
-  core::AdaptiveTriggerConfig bad;
-  bad.ph_lambda = 0.0;
-  EXPECT_THROW(core::AdaptiveCndIds({}, bad), std::invalid_argument);
-  bad = {};
-  bad.chunk_rows = 1;
-  EXPECT_THROW(core::AdaptiveCndIds({}, bad), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,10 +7,13 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "core/detector_factory.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/artifact.hpp"
@@ -238,7 +241,7 @@ TEST(Snapshot, RegistryRoundTripsByteIdenticalAt1And4Threads) {
     }
     runtime::set_threads(0);
   }
-  EXPECT_GE(capable, 2u);  // CND-IDS and Adaptive at minimum
+  EXPECT_GE(capable, 1u);  // CND-IDS at minimum
 }
 
 TEST(Snapshot, RestoredReplicaIsInferenceOnly) {
@@ -260,18 +263,18 @@ TEST(Snapshot, RestoredReplicaIsInferenceOnly) {
 TEST(Snapshot, ArtifactFileRoundTrip) {
   Rng rng(5);
   const Matrix n_clean = gaussian(rng, 96, 6);
-  auto det = core::make_detector("Adaptive", tiny_cfg());
+  auto det = core::make_detector("CND-IDS", tiny_cfg());
   Matrix seed_x;
   std::vector<int> seed_y;
   det->setup(core::SetupContext{n_clean, seed_x, seed_y});
   det->observe_experience(n_clean);
 
-  const auto artifact = serve::make_artifact(3, "Adaptive", 1.25, *det);
+  const auto artifact = serve::make_artifact(3, "CND-IDS", 1.25, *det);
   const std::string path = "test_artifact.bin";
   serve::save_artifact(path, *artifact);
   const serve::ServingArtifact loaded = serve::load_artifact(path);
   EXPECT_EQ(loaded.version, 3u);
-  EXPECT_EQ(loaded.detector, "Adaptive");
+  EXPECT_EQ(loaded.detector, "CND-IDS");
   EXPECT_EQ(loaded.threshold, 1.25);
   EXPECT_EQ(loaded.model_bytes, artifact->model_bytes);
 
@@ -355,10 +358,26 @@ TEST(ScoringService, RefusesNonFiniteBatchAndCountsIt) {
     evasive(3, 2) = bad;
     EXPECT_THROW(svc.try_submit(evasive), std::invalid_argument);
   }
+  // A width mismatch and an empty batch are refused too, but are not
+  // non-finite refusals.
+  EXPECT_THROW(svc.try_submit(gaussian(rng, 8, 7)), std::invalid_argument);
+  EXPECT_THROW(svc.try_submit(Matrix()), std::invalid_argument);
   EXPECT_EQ(refused.value() - before, 3u);
   svc.drain();
   ASSERT_EQ(svc.results().size(), 1u);  // a refusal leaves no slot behind
   for (const int v : svc.results()[0].verdicts) EXPECT_EQ(v, 1);
+
+  // Normal traffic stays below a 20% alarm rate at the calibrated threshold.
+  for (int b = 0; b < 4; ++b) {
+    const Matrix normal = gaussian(rng, 48, 6);
+    while (!svc.try_submit(normal)) std::this_thread::yield();
+  }
+  svc.drain();
+  ASSERT_EQ(svc.results().size(), 5u);
+  std::size_t alarms = 0;
+  for (std::size_t b = 1; b < 5; ++b)
+    for (const int v : svc.results()[b].verdicts) alarms += static_cast<std::size_t>(v);
+  EXPECT_LT(static_cast<double>(alarms) / (4.0 * 48.0), 0.2);
   svc.shutdown();
 }
 
@@ -426,6 +445,8 @@ TEST(ScoringService, ShardCountNeverChangesScoresUnderHotSwap) {
 TEST(ScoringService, AdaptationPublishesNewVersionsAndSwapsReplicas) {
   Rng rng(9);
   const Matrix n_clean = gaussian(rng, 96, 6);
+  auto sink = std::make_shared<obs::MemorySink>();
+  obs::events().set_sink(sink);
   serve::ScoringService svc(tiny_service(2, 64));
   svc.bootstrap(n_clean);
   EXPECT_EQ(svc.artifact_version(), 1u);
@@ -435,6 +456,14 @@ TEST(ScoringService, AdaptationPublishesNewVersionsAndSwapsReplicas) {
   }
   svc.drain();
   svc.shutdown();
+  obs::events().set_sink(nullptr);
+  std::size_t bootstraps = 0, rounds = 0;
+  for (const std::string& l : sink->lines()) {
+    bootstraps += l.find("\"event\":\"serve.bootstrap\"") != std::string::npos;
+    rounds += l.find("\"event\":\"serve.adaptation\"") != std::string::npos;
+  }
+  EXPECT_EQ(bootstraps, 1u);
+  EXPECT_EQ(rounds, 4u);
   EXPECT_EQ(svc.adaptations(), 4u);  // 256 flows / 64 per round
   EXPECT_EQ(svc.artifact_version(), 5u);
   // Batches carry versions v1..v4 (v5 is published after the last batch),

@@ -1,10 +1,10 @@
 // Negative snapshot tests across the whole detector registry: a truncated
-// stream, another detector's bytes, or a bit-flipped payload must throw
-// cleanly from restore() — and must not half-mutate the detector. The
-// checksummed envelope (io::binary v2) is what makes the bit-flip sweep
-// airtight: the payload is buffered and verified before any member moves.
-// The io::binary primitives the envelope is built from are round-tripped
-// here too.
+// stream, a payload under another detector's tag, or a bit-flipped payload
+// must throw cleanly from restore() — and must not half-mutate the
+// detector. The checksummed envelope (io::binary v2) is what makes the
+// bit-flip sweep airtight: the payload is buffered and verified before any
+// member moves. The io::binary primitives the envelope is built from are
+// round-tripped here too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -196,7 +196,7 @@ TEST(SnapshotFuzz, TruncatedStreamThrowsAtEveryCut) {
   const Matrix stream = gaussian(rng, 64, 6, 0.5);
   const Matrix x_test = gaussian(rng, 48, 6, 2.0);
   const auto capable = train_capable(n_clean, stream, x_test);
-  ASSERT_GE(capable.size(), 2u);  // CND-IDS and Adaptive at minimum
+  ASSERT_GE(capable.size(), 1u);  // CND-IDS at minimum
 
   for (const Trained& t : capable) {
     ASSERT_GT(t.bytes.size(), 16u) << t.name;
@@ -211,20 +211,41 @@ TEST(SnapshotFuzz, TruncatedStreamThrowsAtEveryCut) {
   }
 }
 
+// A valid payload re-wrapped under a foreign detector tag carries an intact
+// checksum, so only the tag check stands between it and a mis-load: every
+// snapshot-capable detector must refuse every foreign tag by name.
 TEST(SnapshotFuzz, WrongDetectorTagThrowsForEveryPair) {
   Rng rng(6);
   const Matrix n_clean = gaussian(rng, 96, 6);
   const Matrix stream = gaussian(rng, 64, 6, 0.5);
   const Matrix x_test = gaussian(rng, 48, 6, 2.0);
   const auto capable = train_capable(n_clean, stream, x_test);
-  ASSERT_GE(capable.size(), 2u);
+  ASSERT_GE(capable.size(), 1u);  // CND-IDS at minimum
 
-  for (const Trained& src : capable)
-    for (const Trained& dst : capable) {
-      if (src.name == dst.name) continue;
-      SCOPED_TRACE(src.name + " bytes into " + dst.name);
-      expect_restore_throws(dst.name, src.bytes);
+  for (const Trained& t : capable) {
+    std::istringstream head(t.bytes, std::ios::binary);
+    io::read_header(head);
+    const std::uint64_t own_tag = io::read_u64(head);
+    std::istringstream whole(t.bytes, std::ios::binary);
+    const std::string payload = io::read_envelope(whole, own_tag, "probe");
+
+    for (const std::uint64_t tag :
+         {std::uint64_t{0}, own_tag + 1, own_tag + 2, ~std::uint64_t{0}}) {
+      SCOPED_TRACE(t.name + " payload under tag " + std::to_string(tag));
+      std::ostringstream forged(std::ios::binary);
+      io::write_envelope(forged, tag, payload);
+      auto replica = core::make_detector(t.name, tiny_cfg());
+      std::istringstream is(std::move(forged).str(), std::ios::binary);
+      try {
+        replica->restore(is);
+        ADD_FAILURE() << "foreign tag accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("another detector's snapshot"),
+                  std::string::npos)
+            << e.what();
+      }
     }
+  }
 }
 
 TEST(SnapshotFuzz, BitFlippedPayloadThrowsEverywhere) {
@@ -233,7 +254,7 @@ TEST(SnapshotFuzz, BitFlippedPayloadThrowsEverywhere) {
   const Matrix stream = gaussian(rng, 64, 6, 0.5);
   const Matrix x_test = gaussian(rng, 48, 6, 2.0);
   const auto capable = train_capable(n_clean, stream, x_test);
-  ASSERT_GE(capable.size(), 2u);
+  ASSERT_GE(capable.size(), 1u);
 
   for (const Trained& t : capable) {
     // A single flipped bit anywhere — header, tag, length, payload, or
@@ -254,7 +275,7 @@ TEST(SnapshotFuzz, FailedRestoreDoesNotClobberAReplica) {
   const Matrix stream = gaussian(rng, 64, 6, 0.5);
   const Matrix x_test = gaussian(rng, 48, 6, 2.0);
   const auto capable = train_capable(n_clean, stream, x_test);
-  ASSERT_GE(capable.size(), 2u);
+  ASSERT_GE(capable.size(), 1u);
 
   for (const Trained& t : capable) {
     auto replica = core::make_detector(t.name, tiny_cfg());

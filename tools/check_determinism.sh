@@ -17,9 +17,8 @@
 #                   instrumentation must not change a single result byte.
 #   FULL_REGISTRY=1 optional: additionally run the benches that together
 #                   exercise every detector in core::make_detector's registry
-#                   (extended_nd + fig3 + a tiny scenario grid) at a small
-#                   scale and verify each name in DETECTORS below appears in
-#                   their CSV output.
+#                   (extended_nd + fig3) at a small scale and verify each
+#                   name in DETECTORS below appears in their CSV output.
 #   KERNEL_SWEEP=0  opt out of the blocked-kernel sweep (on by default):
 #                   bench_micro_substrate --dump-kernels writes fixed-seed
 #                   outputs of every register-blocked kernel; the CSVs must
@@ -64,7 +63,6 @@ set -euo pipefail
 # can never silently fall behind the registry.
 DETECTORS=(
   "CND-IDS"
-  "Adaptive"
   "ADCN"
   "LwF"
   "PCA"
@@ -371,9 +369,8 @@ if [ "${SERVING_SWEEP:-1}" = "1" ]; then
 fi
 
 # Optional full-registry sweep: bench_extended_nd + bench_fig3_cl_comparison
-# + a tiny bench_scenarios grid together exercise all thirteen registered
-# detectors; verify every name in DETECTORS shows up in their CSV output so
-# no registry entry goes untested.
+# together exercise all twelve registered detectors; verify every name in
+# DETECTORS shows up in their CSV output so no registry entry goes untested.
 if [ "${FULL_REGISTRY:-0}" = "1" ]; then
   mkdir -p "${WORK}/reg"
   for bin in bench_extended_nd bench_fig3_cl_comparison; do
@@ -386,18 +383,6 @@ if [ "${FULL_REGISTRY:-0}" = "1" ]; then
     echo "== FULL_REGISTRY ${bin} --scale=0.05"
     (cd "${WORK}/reg" && CND_THREADS=4 "${full}" --scale=0.05 > "${bin}.log")
   done
-  # bench_scenarios carries the drift-gated Adaptive detector, which no
-  # fixed-protocol bench runs; one scenario at a tiny scale keeps it cheap.
-  if [ ! -x "${BUILD_DIR}/bench/bench_scenarios" ]; then
-    echo "FAIL FULL_REGISTRY=1 but '${BUILD_DIR}/bench/bench_scenarios' is missing"
-    status=1
-  else
-    full=$(readlink -f "${BUILD_DIR}/bench/bench_scenarios")
-    echo "== FULL_REGISTRY bench_scenarios --scale=0.05 (CND-IDS,Adaptive)"
-    (cd "${WORK}/reg" && CND_THREADS=4 "${full}" --scale=0.05 \
-        --scenarios=class-incremental --detectors=CND-IDS,Adaptive \
-        > bench_scenarios.log)
-  fi
   for det in "${DETECTORS[@]}"; do
     if grep -qF "${det}" "${WORK}"/reg/*.csv "${WORK}"/reg/*.log 2> /dev/null; then
       echo "OK   registry detector '${det}' exercised"

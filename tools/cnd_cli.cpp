@@ -13,7 +13,7 @@
 //
 //   detectors
 //       List every registry detector name with its kind and a one-line
-//       description (e.g. Adaptive — drift-gated CND-IDS).
+//       description (e.g. CND-IDS — CFE encoder + PCA scoring).
 //
 //   score --train=<csv> --test=<csv> [--quantile=0.99] [--epochs=8]
 //       Train CND-IDS on the train CSV (labels ignored — the method is
@@ -35,8 +35,8 @@
 //       a test CSV against the artifact's threshold. Scores are
 //       byte-identical to the detector that produced the snapshot. Like
 //       `snapshot`, it scores features at the training file's scale (an
-//       artifact carries no scaler). --explain (CND-IDS and Adaptive
-//       artifacts) appends the top latent-feature attributions for each
+//       artifact carries no scaler). --explain (CND-IDS artifacts)
+//       appends the top latent-feature attributions for each
 //       alarmed row: which directions of the learned representation drove
 //       the score.
 //
@@ -53,7 +53,6 @@
 #include <string>
 #include <thread>
 
-#include "core/adaptive_cnd_ids.hpp"
 #include "core/cnd_ids.hpp"
 #include "core/detector_factory.hpp"
 #include "core/experience_runner.hpp"
@@ -107,12 +106,10 @@ int usage() {
                "--out=FILE [--scale=0.25] [--seed=42]\n"
                "  run       --data=FILE [--detector=CND-IDS] [--experiences=5] "
                "[--seed=7] [--epochs=8] [--ann-nprobe=N]\n"
-               "            --detector takes any name from `cnd detectors`, "
-               "e.g. Adaptive (drift-gated CND-IDS: refits only when "
-               "Page-Hinkley signals drift)\n"
+               "            --detector takes any name from `cnd detectors`\n"
                "            --ann-nprobe=N (N >= 1) probes N IVF clusters "
                "instead of exact neighbor search (docs/ANN.md); only LOF, "
-               "kNN, CND-IDS, and Adaptive have a neighbor path\n"
+               "kNN, and CND-IDS have a neighbor path\n"
                "  score     --train=FILE --test=FILE [--quantile=0.99] "
                "[--epochs=8]\n"
                "  pack      --data=FILE --out=FILE\n"
@@ -199,11 +196,10 @@ int cmd_run(const std::map<std::string, std::string>& f) {
     cfg.lof.ann.nprobe = nprobe;
     cfg.knn.ann.nprobe = nprobe;
     cfg.cnd.cfe.ann.nprobe = nprobe;
-    if (detector != "LOF" && detector != "kNN" && detector != "CND-IDS" &&
-        detector != "Adaptive")
+    if (detector != "LOF" && detector != "kNN" && detector != "CND-IDS")
       std::fprintf(stderr,
                    "run: warning: --ann-nprobe has no effect on '%s' — only "
-                   "LOF, kNN, CND-IDS, and Adaptive run neighbor queries\n",
+                   "LOF, kNN, and CND-IDS run neighbor queries\n",
                    detector.c_str());
   }
   const core::RunResult res =
@@ -340,19 +336,15 @@ int cmd_restore(const std::map<std::string, std::string>& f) {
                static_cast<unsigned long long>(artifact.version),
                core::detector_description(artifact.detector).c_str());
 
-  // --explain decomposes the CFE + PCA FRE score, so it needs the CND-IDS
-  // scorer inside the replica (Adaptive wraps one).
+  // --explain decomposes the CFE + PCA FRE score, so the replica must be
+  // the CND-IDS scorer.
   const bool explain = flag(f, "explain", "") == "1";
   const core::CndIds* cnd = nullptr;
   if (explain) {
-    if (const auto* c = dynamic_cast<const core::CndIds*>(replica.get()))
-      cnd = c;
-    else if (const auto* a =
-                 dynamic_cast<const core::AdaptiveCndIds*>(replica.get()))
-      cnd = &a->detector();
-    else
-      throw std::invalid_argument("--explain supports CND-IDS and Adaptive "
-                                  "artifacts, not " + artifact.detector);
+    cnd = dynamic_cast<const core::CndIds*>(replica.get());
+    if (cnd == nullptr)
+      throw std::invalid_argument("--explain supports CND-IDS artifacts, not " +
+                                  artifact.detector);
   }
 
   data::Dataset test = data::load_csv(test_path, "test");

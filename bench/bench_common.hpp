@@ -1,12 +1,13 @@
 // Shared harness pieces for the paper-reproduction benches.
 //
-// Every bench_figN / bench_tableN binary reproduces one table or figure of
-// the CND-IDS paper (see DESIGN.md §3): it builds the four synthetic paper
-// datasets, runs the relevant detectors through the §III-A protocol, prints
-// the paper's rows/series next to our measured values, and writes a CSV into
-// the working directory.
+// bench_experiments reproduces every table and figure of the CND-IDS paper
+// (see DESIGN.md §3), one entry of its table list each: it builds the four
+// synthetic paper datasets, runs the relevant detectors through the §III-A
+// protocol, prints the measured rows next to the paper's values, and writes
+// one CSV per table into the working directory.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -177,6 +178,39 @@ inline BenchOptions parse_options(int argc, char** argv) {
   return o;
 }
 
+/// The tables chosen by "--table=<name>[,<name>...]" or "--table=all" (the
+/// default when the flag is absent), in the order given; "all" expands to
+/// `all_names` in order. An empty or unknown name throws
+/// std::invalid_argument naming it and listing the valid names.
+inline std::vector<std::string> parse_table_selection(
+    int argc, char** argv, const std::vector<std::string>& all_names) {
+  std::string spec = "all";
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a.rfind("--table=", 0) == 0) spec = a.substr(8);
+  }
+  std::vector<std::string> chosen;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = spec.find(',', start);
+    const std::string name = spec.substr(start, comma - start);
+    if (name == "all") {
+      chosen.insert(chosen.end(), all_names.begin(), all_names.end());
+    } else if (std::find(all_names.begin(), all_names.end(), name) !=
+               all_names.end()) {
+      chosen.push_back(name);
+    } else {
+      std::string valid = "all";
+      for (const std::string& n : all_names) valid += ", " + n;
+      throw std::invalid_argument("unknown table '" + name +
+                                  "' in --table; valid tables: " + valid);
+    }
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return chosen;
+}
+
 /// Remove the harness flags (--scale/--seed/--threads/--metrics-out/
 /// --verbose) from argv in place, updating argc. The google-benchmark
 /// binaries call this between parse_options and benchmark::Initialize —
@@ -309,13 +343,6 @@ inline core::RunResult run_detector(const std::string& name,
   core::DetectorConfig cfg = paper_detector_config(seed);
   if (ann_nprobe > 0) apply_ann_nprobe(cfg, ann_nprobe);
   return core::run_detector(name, cfg, es, rc);
-}
-
-/// Pretty row printer shared by the benches.
-inline void print_row(const std::string& label, const std::vector<double>& vals) {
-  std::printf("  %-24s", label.c_str());
-  for (double v : vals) std::printf("  %8.4f", v);
-  std::printf("\n");
 }
 
 }  // namespace cnd::bench

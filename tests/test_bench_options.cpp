@@ -1,6 +1,7 @@
 // Regression tests for bench::parse_options: valid flags parse, malformed
 // values throw std::invalid_argument instead of silently defaulting, and
-// --threads applies to the parallel runtime.
+// --threads applies to the parallel runtime. Also bench_experiments' --table
+// selection (bench::parse_table_selection).
 #include "bench_common.hpp"
 
 #include <gtest/gtest.h>
@@ -111,6 +112,32 @@ TEST(BenchOptions, StripHarnessFlagsRemovesMetricsOut) {
   ASSERT_EQ(argc, 3);
   EXPECT_STREQ(a.argv()[1], "--keep1");
   EXPECT_STREQ(a.argv()[2], "--keep2");
+}
+
+std::vector<std::string> tables(std::vector<std::string> args) {
+  Argv a(std::move(args));
+  return bench::parse_table_selection(a.argc(), a.argv(), {"t1", "t2", "t3"});
+}
+
+TEST(BenchOptions, TableSelectionDefaultsToAllAndKeepsTheGivenOrder) {
+  const std::vector<std::string> all{"t1", "t2", "t3"};
+  EXPECT_EQ(tables({}), all);
+  EXPECT_EQ(tables({"--table=all", "--scale=0.1"}), all);
+  EXPECT_EQ(tables({"--table=t3,t1"}), (std::vector<std::string>{"t3", "t1"}));
+}
+
+TEST(BenchOptions, UnknownTableThrowsNamingTheValidTables) {
+  for (const char* bad :
+       {"--table=nope", "--table=", "--table=t1,", "--table=t1,,t2"}) {
+    try {
+      tables({bad});
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("valid tables: all, t1, t2, t3"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

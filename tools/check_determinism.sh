@@ -6,8 +6,8 @@
 # turning them on must not perturb a single result byte.
 #
 # Usage: tools/check_determinism.sh [bench-binary] [bench-args...]
-#   bench-binary  defaults to ${BUILD_DIR:-build}/bench/bench_multiseed
-#   bench-args    default to --scale=0.1
+#   bench-binary  defaults to ${BUILD_DIR:-build}/bench/bench_experiments
+#   bench-args    default to --table=multiseed --scale=0.1
 #
 # Environment:
 #   BUILD_DIR       Release build directory (default: build)
@@ -15,10 +15,11 @@
 #                   binary from that tree is run at CND_THREADS=4 and its CSVs
 #                   are diffed against the Release run — ThreadSanitizer
 #                   instrumentation must not change a single result byte.
-#   FULL_REGISTRY=1 optional: additionally run the benches that together
-#                   exercise every detector in core::make_detector's registry
-#                   (extended_nd + fig3) at a small scale and verify each
-#                   name in DETECTORS below appears in their CSV output.
+#   FULL_REGISTRY=1 optional: additionally run the two bench_experiments
+#                   tables that together exercise every detector in
+#                   core::make_detector's registry (extended_nd + fig3) at a
+#                   small scale and verify each name in DETECTORS below
+#                   appears in their CSV output.
 #   KERNEL_SWEEP=0  opt out of the blocked-kernel sweep (on by default):
 #                   bench_micro_substrate --dump-kernels writes fixed-seed
 #                   outputs of every register-blocked kernel; the CSVs must
@@ -89,9 +90,9 @@ KERNELS=(
 )
 
 BUILD_DIR=${BUILD_DIR:-build}
-BENCH=${1:-${BUILD_DIR}/bench/bench_multiseed}
+BENCH=${1:-${BUILD_DIR}/bench/bench_experiments}
 shift || true
-if [ "$#" -gt 0 ]; then ARGS=("$@"); else ARGS=(--scale=0.1); fi
+if [ "$#" -gt 0 ]; then ARGS=("$@"); else ARGS=(--table=multiseed --scale=0.1); fi
 
 if [ ! -x "${BENCH}" ]; then
   echo "check_determinism: bench binary '${BENCH}' not found or not executable" >&2
@@ -368,21 +369,23 @@ if [ "${SERVING_SWEEP:-1}" = "1" ]; then
   fi
 fi
 
-# Optional full-registry sweep: bench_extended_nd + bench_fig3_cl_comparison
-# together exercise all twelve registered detectors; verify every name in
-# DETECTORS shows up in their CSV output so no registry entry goes untested.
+# Optional full-registry sweep: bench_experiments' extended_nd and
+# fig3_cl_comparison tables together exercise all twelve registered
+# detectors; verify every name in DETECTORS shows up in their CSV output so
+# no registry entry goes untested.
 if [ "${FULL_REGISTRY:-0}" = "1" ]; then
   mkdir -p "${WORK}/reg"
-  for bin in bench_extended_nd bench_fig3_cl_comparison; do
-    if [ ! -x "${BUILD_DIR}/bench/${bin}" ]; then
-      echo "FAIL FULL_REGISTRY=1 but '${BUILD_DIR}/bench/${bin}' is missing"
-      status=1
-      continue
-    fi
-    full=$(readlink -f "${BUILD_DIR}/bench/${bin}")  # resolve before the cd
-    echo "== FULL_REGISTRY ${bin} --scale=0.05"
-    (cd "${WORK}/reg" && CND_THREADS=4 "${full}" --scale=0.05 > "${bin}.log")
-  done
+  EXPERIMENTS="${BUILD_DIR}/bench/bench_experiments"
+  REG_ARGS=(--table=extended_nd,fig3_cl_comparison --scale=0.05)
+  if [ ! -x "${EXPERIMENTS}" ]; then
+    echo "FAIL FULL_REGISTRY=1 but '${EXPERIMENTS}' is missing"
+    status=1
+  else
+    full=$(readlink -f "${EXPERIMENTS}")  # resolve before the cd
+    echo "== FULL_REGISTRY $(basename "${full}") ${REG_ARGS[*]}"
+    (cd "${WORK}/reg" && CND_THREADS=4 "${full}" "${REG_ARGS[@]}" > experiments.log) ||
+      { echo "FAIL FULL_REGISTRY run exited non-zero"; status=1; }
+  fi
   for det in "${DETECTORS[@]}"; do
     if grep -qF "${det}" "${WORK}"/reg/*.csv "${WORK}"/reg/*.log 2> /dev/null; then
       echo "OK   registry detector '${det}' exercised"
